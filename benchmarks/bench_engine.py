@@ -3,8 +3,8 @@
 Runs the full Figure-5 grid (five disk presets x Δ=0..7, 40 design
 points) through two engines sharing one :class:`BuildCache`:
 
-* ``fast-reference`` — the frozen pre-optimisation loop: one
-  general-purpose loop, arrivals by bisection
+* ``fast-reference`` — the reference loop: the engine's general
+  per-request loop, arrivals by bisection
   (:meth:`~repro.experiments.engine.FastEngine.run_trace_reference`);
 * ``fast`` — the optimized loop of ``docs/PERFORMANCE.md``: two-phase
   allocation-free stepping over the schedule's precomputed timing

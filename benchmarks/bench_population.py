@@ -258,8 +258,8 @@ def run_batch_study(delta: int, clients: int, *,
     4-sigma sampling-error tolerance as the Figure-5 validation, with
     both samples of size ``clients``.  With ``channels > 1`` both arms
     simulate the C-row :class:`~repro.core.schedule.BroadcastProgram`
-    — the scalar arm through ``_run_trace_multichannel``, the batch
-    arm through the vectorized tuner and per-channel phase tables.
+    — the scalar arm through the fast engine's tuner, the batch arm
+    through the vectorized tuner and per-channel phase tables.
     """
     started = perf_counter()
     per_client = run_population(

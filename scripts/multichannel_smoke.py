@@ -4,9 +4,12 @@ Four gates, one per contract the channel layer makes
 (``src/repro/core/channels.py``):
 
 * **C=1 byte-identity** — a one-channel program must reduce exactly to
-  the legacy single-channel pipeline: identical slot lists and
-  byte-identical fast-engine measurements, with zero retunes and no
-  channel block on the result.
+  the legacy single-channel pipeline: identical slot lists, a one-row
+  program run through the fast engine's hot, general (traced) and
+  reference loops byte-identical to the legacy schedule (samples,
+  retunes, trace records), identical fleet-kernel phase tables, and a
+  ``channels=1`` config identical to the default, with zero retunes and
+  no channel block on the result.
 * **Engine agreement** — the fast, process, and reference engines must
   agree sample-for-sample (and retune-for-retune) on multi-channel
   runs.
@@ -40,14 +43,20 @@ _SRC = str(_ROOT / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+import numpy as np
+
+from repro.batch.fleet import _phase_tables
 from repro.core.channels import build_program
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.engine import FastEngine
 from repro.experiments.figures import multichannel_study
 from repro.experiments.runner import run_experiment
 from repro.obs.monitor import MonitorSuite
 from repro.obs.regress import render_text, run_gate
+from repro.obs.trace import MemorySink, Tracer
+from repro.workload.trace import generate_trace
 
 #: Bench parameters: fixed, so the document is deterministic and CI
 #: reproduces the committed BENCH_multichannel.json byte-for-byte.
@@ -79,6 +88,32 @@ def check(condition: bool, message: str, failures: list) -> None:
         failures.append(message)
 
 
+def fast_loops(cfg: ExperimentConfig, schedule) -> list:
+    """(samples, retunes, trace records) of the fast engine's hot,
+    general (traced) and reference loops over one shared trace."""
+    layout = cfg.build_layout()
+    distribution = cfg.build_distribution()
+    trace = generate_trace(distribution, cfg.num_requests + 200,
+                           cfg.build_streams().stream("requests"))
+    runs = []
+    for loop in ("hot", "general", "reference"):
+        mapping = cfg.build_mapping(layout)
+        sink = MemorySink()
+        engine = FastEngine(
+            schedule, mapping, layout,
+            cfg.build_policy(schedule, mapping, distribution, layout),
+            cfg.think_time,
+            tracer=None if loop == "hot" else Tracer(sink),
+        )
+        run = (engine.run_trace_reference if loop == "reference"
+               else engine.run_trace)
+        outcome = run(trace, collect_responses=True)
+        records = [(r.kind, r.time, sorted(r.fields.items()))
+                   for r in sink.records]
+        runs.append((loop, outcome.samples, outcome.retunes, records))
+    return runs
+
+
 def gate_identity(failures: list) -> None:
     print("C=1 byte-identity (program vs legacy schedule):")
     for sizes, delta in (((2, 4, 8), 3), ((50, 200, 250), 5)):
@@ -88,6 +123,23 @@ def gate_identity(failures: list) -> None:
         check(program.channels[0].slots == legacy.slots,
               f"slot lists identical for {sizes} Δ={delta} "
               f"({legacy.period} slots)", failures)
+        physical = np.arange(layout.total_pages, dtype=np.int64)
+        tables = _phase_tables(program, physical, 2, 1)
+        expected = _phase_tables(legacy, physical, 2, 1)
+        check(tables[2] == expected[2] and all(
+                  np.array_equal(a, b) and a.dtype == b.dtype
+                  for a, b in zip(tables[:2], expected[:2])),
+              f"kernel phase tables identical for {sizes} Δ={delta}",
+              failures)
+    cfg = config()
+    layout = cfg.build_layout()
+    program_runs = fast_loops(cfg, build_program(layout, 1))
+    legacy_runs = fast_loops(cfg, _multidisk_program(layout))
+    check(program_runs == legacy_runs,
+          "one-row program byte-identical to the legacy schedule "
+          "through the fast hot, general and reference loops", failures)
+    check(all(retunes == 0 for _loop, _s, retunes, _r in program_runs),
+          "a one-row program never retunes", failures)
     implicit = run_experiment(config(), engine="fast",
                               collect_responses=True)
     explicit = run_experiment(config(channels=1), engine="fast",

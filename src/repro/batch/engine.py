@@ -4,7 +4,7 @@ Every per-client scalar of the fast engine's loop becomes a length-N
 array here — clock, warm-up state, Welford accumulators, hit/miss
 counters — and every cache decision goes through the columnar policies
 in :mod:`repro.cache.batched`.  The per-step arithmetic replicates
-:meth:`repro.experiments.engine.FastEngine._run_trace_traced` operation
+:meth:`repro.experiments.engine.FastEngine._run_trace_general` operation
 for operation (same Welford update order, same closed-form clock
 arithmetic via :meth:`~repro.core.schedule.BroadcastSchedule.
 next_arrival_batch`), which is what makes a single-client batch run
@@ -13,11 +13,13 @@ next_arrival_batch`), which is what makes a single-client batch run
 
 Multi-channel programs run natively: the engine carries a per-client
 tuned-channel column and applies the single-frequency tuner as array
-ops — on each miss the target channel is looked up in the program's
+ops — on each miss the target channel is looked up in the schedule's
 dense ``channel_array``, retune costs are added where the target
-differs, and retune counters accumulate per client — replicating
-``FastEngine._run_trace_multichannel`` per client, including the
-``client.retune`` trace record between miss and wait.
+differs, and retune counters accumulate per client — replicating the
+fast engine's tuner per client, including the ``client.retune`` trace
+record between miss and wait.  On a single-channel schedule nobody can
+switch, so the engine skips the tuner: its dozen array operations per
+step are a measurable share of a cached single-channel fleet's time.
 
 Tracing: with one client the emitted record stream is identical to the
 fast engine's (``client.*`` from the engine, ``cache.*`` in
@@ -158,8 +160,6 @@ class ColumnarEngine:
         num_disks: int,
         think_time: float,
         *,
-        channel_of: Optional[np.ndarray] = None,
-        num_channels: int = 1,
         retune_cost: float = 1.0,
     ):
         if think_time < 0:
@@ -186,13 +186,11 @@ class ColumnarEngine:
         self.disk_of = np.asarray(disk_of, dtype=np.int64)
         self.num_disks = num_disks
         self.think_time = float(think_time)
-        #: Dense page -> channel lookup for C-row programs; ``None``
-        #: keeps the single-channel loop free of tuner arithmetic.
-        self.channel_of = (
-            None if channel_of is None
-            else np.asarray(channel_of, dtype=np.int64)
-        )
-        self.num_channels = int(num_channels)
+        #: Dense page -> channel lookup and channel count, read from the
+        #: schedule's channel surface (all zeros and 1 for a single
+        #: schedule).
+        self.channel_of = schedule.channel_array()
+        self.num_channels = schedule.num_channels
         self.retune_cost = float(retune_cost)
 
     def _physical_of(self, rows: np.ndarray, pages: np.ndarray) -> np.ndarray:
@@ -261,11 +259,11 @@ class ColumnarEngine:
         physical_step = np.zeros(clients, dtype=np.int64)
         disk_step = np.zeros(clients, dtype=np.int64)
 
-        # Single-frequency tuner state (C-row programs only): every
-        # client starts tuned to channel 0, exactly like the scalar
-        # tuner loop.
+        # Single-frequency tuner state (multi-channel schedules only):
+        # every client starts tuned to channel 0, exactly like the
+        # scalar tuner loop.
         channel_of = self.channel_of
-        tuned = channel_of is not None
+        tuned = self.num_channels > 1
         if tuned:
             current = np.zeros(clients, dtype=np.int64)
             retunes_measured = np.zeros(clients, dtype=np.int64)
@@ -467,12 +465,11 @@ def build_columnar_engine(
 
     ``physical`` is the logical→physical page matrix — one shared row
     for noise-free groups, one row per client otherwise.  Returns
-    ``None`` when ``config.policy`` has no columnar formulation.  A
-    multi-channel :class:`~repro.core.schedule.BroadcastProgram`
-    (detected by its ``channel_array`` surface) arms the vectorized
-    single-frequency tuner: per-client tuned-channel state, retune-cost
-    arithmetic, and retune counters, byte-identical per client to the
-    fast engine's ``_run_trace_multichannel``.
+    ``None`` when ``config.policy`` has no columnar formulation.  The
+    engine reads the channel count and page -> channel array from
+    ``schedule``; with more than one channel it runs the vectorized
+    single-frequency tuner, byte-identical per client to the fast
+    engine's tuner.
     """
     name = batchable_policy_name(config.policy)
     if name is None:
@@ -494,11 +491,6 @@ def build_columnar_engine(
     )
     if policy is None:
         return None
-    channel_of = None
-    num_channels = 1
-    if hasattr(schedule, "channel_array") and schedule.num_channels > 1:
-        channel_of = schedule.channel_array()
-        num_channels = schedule.num_channels
     return ColumnarEngine(
         schedule=schedule,
         policy=policy,
@@ -506,7 +498,5 @@ def build_columnar_engine(
         disk_of=disk_of,
         num_disks=layout.num_disks,
         think_time=config.think_time,
-        channel_of=channel_of,
-        num_channels=num_channels,
-        retune_cost=float(getattr(config, "retune_cost", 1.0)),
+        retune_cost=float(config.retune_cost),
     )

@@ -28,13 +28,13 @@ Two execution regimes, two correctness contracts:
 * **Kernel (statistical)** — cache-less (capacity-1, always-admit
   policy) groups on an integer think time collapse further: the page →
   wait relation is a pure function of the request instant's phase in
-  the broadcast period, so the whole group steps through precomputed
-  ``(period, pages+1)`` wait/next-phase tables, with requests drawn in
-  bulk from one group-level stream through a guide-table sampler.
-  C-row programs get a tuned-channel dimension — tables become
-  ``(C, lcm-period, pages+1)``, the flat state index encodes
-  ``(channel, phase)``, and integral retune costs fold into the wait
-  entries — so cache-less multi-channel groups keep the kernel speed.
+  the broadcast period and the tuned channel, so the whole group steps
+  through precomputed ``(C, lcm-period, pages+1)`` wait/next-state
+  tables (one channel and the plain period for a single schedule),
+  with requests drawn in bulk from one group-level stream through a
+  guide-table sampler.  The flat state index encodes ``(channel,
+  phase)`` and integral retune costs fold into the wait entries, so
+  cache-less multi-channel groups keep the kernel speed.
   Per-client traces differ from the per-client path (group vs per-client
   streams), so the contract is the BENCH_population one: equal within
   sampling error.  This is the ≥100x path; force ``kernel="never"`` to
@@ -84,7 +84,7 @@ from repro.workload.mapping import LogicalPhysicalMapping
 
 __all__ = ["run_fleet"]
 
-#: Kernel phase tables are ``(period, access_range + 1)`` int32 pairs;
+#: Kernel phase tables are ``(C, period, access_range + 1)`` int32 pairs;
 #: groups whose tables would exceed this many entries take the general
 #: columnar path instead (the paper-scale D5 period of 11,500 slots
 #: with a 1,000-page range is ~11.5M entries — above this cap).
@@ -231,8 +231,7 @@ def _kernel_eligible(config) -> bool:
         return False
     if config.drift_rotations or config.noise > 0.0:
         return False
-    if getattr(config, "channels", 1) > 1 and not float(
-            getattr(config, "retune_cost", 1.0)).is_integer():
+    if config.channels > 1 and not float(config.retune_cost).is_integer():
         # The tuned-channel tables fold the retune penalty into integer
         # wait entries; fractional costs take the general columnar path.
         return False
@@ -240,88 +239,31 @@ def _kernel_eligible(config) -> bool:
 
 
 def _phase_tables(schedule, physical: np.ndarray, think: int,
-                  retune: int = 0):
-    """Wait and next-phase tables over (request phase, requested page).
+                  retune: int):
+    """Wait and next-state tables over (tuned channel, request phase,
+    requested page).
 
-    For a request issued at integral time ``t`` with phase ``s = t mod
-    period``, the wait for logical page ``l`` is ``Wt[s, l]`` and the
-    client's next phase (pre-multiplied by the table width for direct
-    flat indexing) is ``Pt[s, l]``.  Column ``access_range`` is the
-    dummy *hit* column: zero wait, phase advanced by think only.  The
-    think time is folded into the tables, so the step loop is pure
-    table lookups.  Exact for any periodic schedule — a broadcast page's
-    completions repeat with the period, no fixed-gap structure needed.
+    For a request issued at integral time ``t`` on tuned channel ``c``,
+    with phase ``s = t mod P`` (``P`` the lcm of the row periods), the
+    wait for logical page ``l`` is ``Wt[c, s, l]`` and the client's next
+    state, pre-multiplied by the table width for direct flat indexing,
+    is ``Pt[c, s, l]``; the flat state index is ``(c * P + s) * width``
+    and the initial state ``0`` is channel 0 at phase 0 — exactly the
+    scalar tuner's starting point.  Column ``access_range`` is the
+    dummy *hit* column: zero wait, phase advanced by think only, tuned
+    channel kept.  The think time is folded into the tables, so the
+    step loop is pure table lookups.
 
-    C-row programs dispatch to :func:`_phase_tables_program`, which
-    adds a tuned-channel dimension to the same flat encoding.
+    A miss for a page on another channel pays the (integral) ``retune``
+    cost before listening: its wait entry is ``r + 1 + (residue - s - r
+    - 1) mod gap`` and its next state lands on the page's channel.
+    Waits are measured from the request instant, matching the scalar
+    loop's ``arrival - now``.  A single schedule is the one-row case:
+    ``P`` is its period and no page ever pays the retune.  Exact for any
+    periodic schedule — irregular pages take the owning row's
+    occurrence search.
     """
-    if getattr(schedule, "num_channels", 1) > 1:
-        return _phase_tables_program(schedule, physical, think, retune)
-    period = schedule.period
-    pages = len(physical)
-    width = pages + 1
-    slots = np.arange(period, dtype=np.int32)
-    shifted = (slots + think) % period
-    waits = np.empty((period, width), dtype=np.int32)
-    phases = np.empty((period, width), dtype=np.int32)
-
-    # Fixed-gap pages (all of them, on flat-disk schedules) fill their
-    # columns in one broadcasted closed form: completions of page ``l``
-    # sit at instants ≡ residue (mod gap), so the wait from integral
-    # phase ``s`` is ``1 + (residue - s - 1) mod gap``.
-    residue_all, gap_all = schedule.regular_timing()
-    in_range = physical < len(gap_all)
-    regular = np.zeros(pages, dtype=bool)
-    regular[in_range] = gap_all[physical[in_range]] > 0
-    if regular.all():
-        residue = residue_all[physical].astype(np.int32)
-        gap = gap_all[physical].astype(np.int32)
-        body = waits[:, :pages]
-        np.subtract(residue[None, :], shifted[:, None] + 1, out=body)
-        np.mod(body, gap[None, :], out=body)
-        body += 1
-    elif regular.any():
-        residue = residue_all[physical[regular]].astype(np.int32)
-        gap = gap_all[physical[regular]].astype(np.int32)
-        waits[:, :pages][:, regular] = (
-            1 + np.mod(residue[None, :] - shifted[:, None] - 1,
-                       gap[None, :])
-        )
-    for logical in np.flatnonzero(~regular):
-        # Irregular spacing: exact per-page occurrence search.  A page
-        # missing from the broadcast raises ScheduleError here, which
-        # the kernel caller treats as "take the general path".
-        occurrences = schedule.occurrences(int(physical[logical]))
-        bounds = np.concatenate([occurrences, occurrences[:1] + period])
-        waits[:, logical] = (
-            1 + bounds[np.searchsorted(occurrences, shifted, side="left")]
-            - shifted
-        )
-    body = phases[:, :pages]
-    np.add(shifted[:, None], waits[:, :pages], out=body)
-    np.mod(body, period, out=body)
-    body *= width
-    waits[:, pages] = 0
-    phases[:, pages] = shifted * width
-    return waits.ravel(), phases.ravel(), width
-
-
-def _phase_tables_program(program, physical: np.ndarray, think: int,
-                          retune: int):
-    """Per-channel phase tables for a C-row broadcast program.
-
-    The client state gains the tuned channel, so the tables are
-    ``(C, P, pages+1)`` with ``P`` the lcm of the row periods; the flat
-    state index is ``(channel * P + phase) * width``, and the initial
-    state ``0`` is channel 0 at phase 0 — exactly the scalar tuner's
-    starting point, so the step loop is unchanged.  A miss for a page
-    on another channel pays the (integral) ``retune`` cost before
-    listening: its wait entry is ``r + 1 + (residue - s - r - 1) mod
-    gap`` and its next state lands on the page's channel.  Hits keep
-    the tuned channel.  Waits are measured from the request instant,
-    matching the scalar loop's ``arrival - now``.
-    """
-    rows = program.channels
+    rows = schedule.channels
     num_channels = len(rows)
     period = lcm_many([row.period for row in rows])
     pages = len(physical)
@@ -331,25 +273,25 @@ def _phase_tables_program(program, physical: np.ndarray, think: int,
     waits = np.empty((num_channels, period, width), dtype=np.int32)
     phases = np.empty((num_channels, period, width), dtype=np.int32)
 
-    residue_all, gap_all = program.regular_timing()
+    residue_all, gap_all = schedule.regular_timing()
     size = len(gap_all)
     clipped = np.clip(physical, 0, size - 1)
     gaps = gap_all[clipped]
     regular = (physical == clipped) & (physical >= 0) & (gaps > 0)
-    page_channel = np.where(regular, program.channel_array()[clipped], 0)
+    page_channel = np.where(regular, schedule.channel_array()[clipped], 0)
     residue = residue_all[clipped]
     safe_gaps = np.where(regular, gaps, 1)
 
     # Irregular pages: the owning row's exact occurrence search, built
     # once per page as a wait-by-listen-phase lookup over the row
-    # period.  A page absent from the program raises ScheduleError in
+    # period.  A page absent from the schedule raises ScheduleError in
     # ``schedule_of``, which the kernel caller treats as "take the
     # general path".
     irregular = {}
     for logical in np.flatnonzero(~regular):
         page = int(physical[logical])
-        row = program.schedule_of(page)
-        page_channel[logical] = program.channel_of(page)
+        row = schedule.schedule_of(page)
+        page_channel[logical] = schedule.channel_of(page)
         occurrences = row.occurrences(page)
         bounds = np.concatenate([occurrences, occurrences[:1] + row.period])
         srange = np.arange(row.period, dtype=np.int64)
@@ -468,15 +410,10 @@ def _run_group_kernel(
     then takes the general columnar path.
     """
     access_range = config.access_range
-    num_channels = getattr(schedule, "num_channels", 1)
-    if num_channels > 1:
-        states = num_channels * lcm_many(
-            [row.period for row in schedule.channels]
-        )
-        retune = int(getattr(config, "retune_cost", 1.0))
-    else:
-        states = schedule.period
-        retune = 0
+    states = schedule.num_channels * lcm_many(
+        [row.period for row in schedule.channels]
+    )
+    retune = int(config.retune_cost)
     if states * (access_range + 1) > KERNEL_TABLE_ENTRIES:
         return None
     think = int(config.think_time)

@@ -54,11 +54,12 @@ class ClientReport:
 
 @dataclass
 class ChannelTuner:
-    """Single-frequency tuner over the channels of a multi-channel program.
+    """Single-frequency tuner over the channels of a broadcast program.
 
-    A client listens to exactly one channel at a time.  When a miss
-    targets a page on a different channel, the tuner switches and the
-    earliest usable completion moves ``retune_cost`` broadcast units
+    A client listens to exactly one channel at a time (on a
+    single-channel schedule, its only one, so it never switches).  When
+    a miss targets a page on a different channel, the tuner switches and
+    the earliest usable completion moves ``retune_cost`` broadcast units
     into the future (the channel's ``wait_for(..., not_before=...)``).
     Each client owns its own tuner: the tuned-channel state is
     per-client, even when clients share the physical channels.
@@ -79,7 +80,7 @@ class Client:
     def __init__(
         self,
         sim: Simulator,
-        channel: BroadcastChannel,
+        tuner: ChannelTuner,
         mapping: LogicalPhysicalMapping,
         layout: DiskLayout,
         cache: CachePolicy,
@@ -90,12 +91,10 @@ class Client:
         extra_warmup: int = 0,
         name: str = "client",
         tracer=None,
-        tuner: Optional[ChannelTuner] = None,
     ):
         self.sim = sim
-        self.channel = channel
-        #: Optional :class:`ChannelTuner` for multi-channel programs;
-        #: ``None`` keeps the single-channel miss path byte-identical.
+        #: The client's :class:`ChannelTuner`: the channels it can hear
+        #: and the one it listens to.
         self.tuner = tuner
         self.mapping = mapping
         self.layout = layout
@@ -164,27 +163,24 @@ class Client:
                 tracer.emit("client.miss", issued, page=int(page),
                             physical=int(physical), client=self.name)
             tuner = self.tuner
-            if tuner is None:
-                yield self.channel.wait_for(physical)
-            else:
-                target = tuner.channel_of[physical]
-                if target != tuner.current:
-                    tuner.retunes += 1
-                    if measuring:
-                        report.retunes += 1
-                    if tracer is not None:
-                        tracer.emit(
-                            "client.retune", issued, page=int(page),
-                            physical=int(physical),
-                            from_channel=tuner.current, to_channel=target,
-                            client=self.name,
-                        )
-                    tuner.current = target
-                    yield tuner.channels[target].wait_for(
-                        physical, not_before=issued + tuner.retune_cost
+            target = tuner.channel_of[physical]
+            if target != tuner.current:
+                tuner.retunes += 1
+                if measuring:
+                    report.retunes += 1
+                if tracer is not None:
+                    tracer.emit(
+                        "client.retune", issued, page=int(page),
+                        physical=int(physical),
+                        from_channel=tuner.current, to_channel=target,
+                        client=self.name,
                     )
-                else:
-                    yield tuner.channels[target].wait_for(physical)
+                tuner.current = target
+                yield tuner.channels[target].wait_for(
+                    physical, not_before=issued + tuner.retune_cost
+                )
+            else:
+                yield tuner.channels[target].wait_for(physical)
             wait = sim.now - issued
             cache.admit(page, sim.now)
             if tracer is not None:

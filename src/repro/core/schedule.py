@@ -48,6 +48,53 @@ from repro.errors import ScheduleError
 DEFAULT_WAIT_TABLE_BUDGET = 64 * 1024 * 1024
 
 
+def _next_arrival_batch(
+    schedule, pages: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """Vectorized :meth:`~BroadcastSchedule.next_arrival` over parallel arrays.
+
+    ``pages[i]`` is queried at ``times[i]``; the result array holds the
+    same completion instants scalar queries would return.  Fixed-gap
+    pages (every page of a §2.2 multidisk program or program row) are
+    answered in one closed-form array expression over the schedule's
+    :meth:`~BroadcastSchedule.regular_timing` arrays; irregular pages
+    fall back to scalar ``next_arrival`` element by element, so the
+    wait-table/bisect hierarchy still applies.  Tier counters, when
+    enabled, attribute the vectorized elements to each row's
+    ``closed_form`` tier by channel (a single schedule is its own only
+    row); the scalar fallback counts its own dispatches.
+
+    Shared verbatim by :class:`BroadcastSchedule` and
+    :class:`BroadcastProgram` through the channel surface both expose.
+    """
+    pages = np.asarray(pages, dtype=np.int64)
+    times = np.asarray(times, dtype=np.float64)
+    residue, gap = schedule.regular_timing()
+    size = len(gap)
+    clipped = np.clip(pages, 0, size - 1)
+    gaps = gap.take(clipped)
+    regular = (pages == clipped) & (pages >= 0) & (gaps > 0)
+    base = np.floor(times).astype(np.int64) + 1
+    safe_gaps = np.where(regular, gaps, 1)
+    arrivals = (
+        base + (residue.take(clipped) - base) % safe_gaps
+    ).astype(np.float64)
+    if not regular.all():
+        for index in np.nonzero(~regular)[0]:
+            arrivals[index] = schedule.next_arrival(
+                int(pages[index]), float(times[index])
+            )
+    rows = schedule.channels
+    if any(row._tier_queries is not None for row in rows):
+        channels = schedule.channel_array().take(clipped[regular])
+        counts = np.bincount(channels, minlength=len(rows))
+        for row, count in zip(rows, counts):
+            queries = row._tier_queries
+            if queries is not None:
+                queries["closed_form"] += int(count)
+    return arrivals
+
+
 class BroadcastSchedule:
     """An immutable periodic broadcast program."""
 
@@ -92,6 +139,7 @@ class BroadcastSchedule:
         self._wait_tables_declined: Set[int] = set()
         self._nonempty_slots: Optional[np.ndarray] = None
         self._regular_timing: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._channel_array: Optional[np.ndarray] = None
         # Per-tier query counters for profiling; None (the default) means
         # disabled and costs next_arrival a single identity check.
         self._tier_queries: Optional[Dict[str, int]] = None
@@ -121,6 +169,54 @@ class BroadcastSchedule:
     def empty_slots(self) -> int:
         """Number of padding slots per period."""
         return self.period - sum(len(o) for o in self._occurrences.values())
+
+    # -- channel surface -----------------------------------------------------
+    # A single schedule is a one-row program: these mirror the members
+    # of :class:`BroadcastProgram` that engines, the fleet kernel and
+    # the monitors call, so they consume one interface for any C.
+    num_channels = 1
+
+    @property
+    def channels(self) -> Tuple["BroadcastSchedule", ...]:
+        """The one channel row: this schedule."""
+        return (self,)
+
+    @property
+    def utilisation(self) -> float:
+        """Fraction of the period's slots carrying a page."""
+        return 1.0 - self.empty_slots / self.period
+
+    def channel_of(self, page: int) -> int:
+        """Always channel 0, for a page this schedule carries."""
+        self.occurrences(page)  # raises ScheduleError for absent pages
+        return 0
+
+    def channel_schedule(self, index: int) -> "BroadcastSchedule":
+        """This schedule, for channel 0."""
+        if index != 0:
+            raise ScheduleError(
+                f"channel {index} outside single-channel schedule "
+                f"{self.label!r}"
+            )
+        return self
+
+    def schedule_of(self, page: int) -> "BroadcastSchedule":
+        """This schedule, for a page it carries."""
+        self.occurrences(page)
+        return self
+
+    def channel_map(self) -> Dict[int, int]:
+        """A fresh ``page -> 0`` dict over the carried pages."""
+        return dict.fromkeys(self._occurrences, 0)
+
+    def channel_array(self) -> np.ndarray:
+        """Read-only zeros indexed by physical page (cached)."""
+        cached = self._channel_array
+        if cached is None:
+            cached = np.zeros(max(self._occurrences) + 1, dtype=np.int64)
+            cached.flags.writeable = False
+            self._channel_array = cached
+        return cached
 
     def __contains__(self, page: int) -> bool:
         return page in self._occurrences
@@ -353,42 +449,7 @@ class BroadcastSchedule:
             self._regular_timing = cached
         return cached
 
-    def next_arrival_batch(
-        self, pages: np.ndarray, times: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`next_arrival` over parallel arrays.
-
-        ``pages[i]`` is queried at ``times[i]``; the result array holds
-        the same completion instants scalar queries would return.
-        Fixed-gap pages (every page of a §2.2 multidisk program) are
-        answered in one closed-form array expression; irregular pages
-        fall back to scalar :meth:`next_arrival` element by element, so
-        the wait-table/bisect hierarchy still applies.  Tier counters,
-        when enabled, attribute the vectorized elements to
-        ``closed_form`` in bulk and let the scalar fallback count its
-        own dispatches.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        times = np.asarray(times, dtype=np.float64)
-        residue, gap = self.regular_timing()
-        size = len(gap)
-        clipped = np.clip(pages, 0, size - 1)
-        gaps = gap.take(clipped)
-        regular = (pages == clipped) & (pages >= 0) & (gaps > 0)
-        base = np.floor(times).astype(np.int64) + 1
-        safe_gaps = np.where(regular, gaps, 1)
-        arrivals = (
-            base + (residue.take(clipped) - base) % safe_gaps
-        ).astype(np.float64)
-        if not regular.all():
-            for index in np.nonzero(~regular)[0]:
-                arrivals[index] = self.next_arrival(
-                    int(pages[index]), float(times[index])
-                )
-        queries = self._tier_queries
-        if queries is not None:
-            queries["closed_form"] += int(regular.sum())
-        return arrivals
+    next_arrival_batch = _next_arrival_batch
 
     def gaps(self, page: int) -> np.ndarray:
         """Inter-arrival gaps (slot counts) between successive broadcasts."""
@@ -562,10 +623,13 @@ class BroadcastProgram:
     one channel.  Timing queries delegate to the owning row, so a
     program duck-types the read-only surface of a single schedule
     (``next_arrival``, ``fixed_gap``, ``frequency``, ``__contains__``,
-    ``timing_stats``, ...) and slots into the engines and monitors
-    unchanged.  A one-row program is byte-identical to its single
-    schedule; the ``channels == 1`` configuration path never constructs
-    a program at all, so the legacy pipeline is untouched.
+    ``timing_stats``, ...).  Conversely a single schedule carries the
+    channel surface of a one-row program (``num_channels``,
+    ``channels``, ``channel_of``, ``channel_array``, ...), so engines,
+    the fleet kernel and the monitors consume one interface for any
+    channel count.  A one-row program is byte-identical to its single
+    schedule; the ``channels == 1`` configuration path builds the plain
+    schedule.
     """
 
     def __init__(self, channels: Sequence[BroadcastSchedule], label: str = ""):
@@ -750,45 +814,7 @@ class BroadcastProgram:
             self._regular_timing = cached
         return cached
 
-    def next_arrival_batch(
-        self, pages: np.ndarray, times: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`next_arrival` over parallel arrays.
-
-        Same contract as
-        :meth:`BroadcastSchedule.next_arrival_batch`, over the merged
-        C-row timing grid: fixed-gap pages (every page of a §2.2
-        per-channel row) are answered in one closed-form expression and
-        irregular pages fall back to scalar :meth:`next_arrival` on
-        their owning row.  Tier counters, when enabled, attribute the
-        vectorized elements to each row's ``closed_form`` tier by
-        channel; the scalar fallback counts its own dispatches.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        times = np.asarray(times, dtype=np.float64)
-        residue, gap = self.regular_timing()
-        size = len(gap)
-        clipped = np.clip(pages, 0, size - 1)
-        gaps = gap.take(clipped)
-        regular = (pages == clipped) & (pages >= 0) & (gaps > 0)
-        base = np.floor(times).astype(np.int64) + 1
-        safe_gaps = np.where(regular, gaps, 1)
-        arrivals = (
-            base + (residue.take(clipped) - base) % safe_gaps
-        ).astype(np.float64)
-        if not regular.all():
-            for index in np.nonzero(~regular)[0]:
-                arrivals[index] = self.next_arrival(
-                    int(pages[index]), float(times[index])
-                )
-        if any(row._tier_queries is not None for row in self._channels):
-            channels = self.channel_array().take(clipped[regular])
-            counts = np.bincount(channels, minlength=self.num_channels)
-            for index, row in enumerate(self._channels):
-                queries = row._tier_queries
-                if queries is not None:
-                    queries["closed_form"] += int(counts[index])
-        return arrivals
+    next_arrival_batch = _next_arrival_batch
 
     # -- observability -------------------------------------------------------
     def enable_timing_counters(self) -> None:

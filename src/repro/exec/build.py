@@ -43,10 +43,9 @@ def structural_key(config: ExperimentConfig) -> Tuple:
     its objective, so those join the key only when ``channels > 1``.
     """
     key = (config.disk_sizes, config.delta, config.rel_freqs)
-    channels = getattr(config, "channels", 1)
-    if channels > 1:
+    if config.channels > 1:
         key = key + (
-            channels,
+            config.channels,
             config.retune_cost,
             config.access_range,
             config.region_size,

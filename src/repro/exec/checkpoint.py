@@ -15,6 +15,12 @@ Because entries are keyed by fingerprint rather than index, the journal
 survives grid reordering and partial overlap: a resumed sweep with
 extra or shuffled design points reuses exactly the points it has seen
 before.
+
+The journal is crash-safe: :meth:`SweepCheckpoint.record` flushes and
+fsyncs each entry, and a sweep killed mid-append leaves at worst an
+unterminated final line, which opening the journal truncates away (that
+one plan simply runs again).  Any other malformed line, or an entry of
+another schema, is corruption and raises :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import json
 import os
 from typing import Dict, Optional
 
+from repro.errors import ConfigurationError
 from repro.exec.plan import RunPlan
 from repro.exec.run import ExperimentResult, result_from_state, result_state
 
@@ -41,14 +48,33 @@ class SweepCheckpoint:
             self._replay()
 
     def _replay(self) -> None:
-        with open(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+        with open(self.path, "rb+") as handle:
+            data = handle.read()
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):
+                # A torn final append: drop it, so the next record
+                # starts on a line of its own.
+                handle.truncate(complete)
+        lines = data[:complete].decode("utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
                 entry = json.loads(line)
-                # Later entries win, matching append order.
-                self._states[entry["fingerprint"]] = entry["state"]
+            except ValueError as error:
+                raise ConfigurationError(
+                    f"checkpoint {self.path!r} line {number} is corrupt: "
+                    f"{error}"
+                ) from None
+            schema = entry.get("schema") if isinstance(entry, dict) else None
+            if schema != CHECKPOINT_SCHEMA:
+                raise ConfigurationError(
+                    f"checkpoint {self.path!r} line {number} has schema "
+                    f"{schema!r}, expected {CHECKPOINT_SCHEMA!r}"
+                )
+            # Later entries win, matching append order.
+            self._states[entry["fingerprint"]] = entry["state"]
         self.resumed = len(self._states)
 
     def lookup(self, plan: RunPlan) -> Optional[ExperimentResult]:
@@ -69,8 +95,9 @@ class SweepCheckpoint:
             "state": state,
         }
         with open(self.path, "a") as handle:
-            handle.write(json.dumps(entry, sort_keys=True))
-            handle.write("\n")
+            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
         self._states[fingerprint] = state
 
     def __len__(self) -> int:

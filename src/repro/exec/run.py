@@ -186,8 +186,7 @@ def execute_plan(
             trace=trace,
             tracer=effective_tracer,
             profile=profile,
-            channels=getattr(config, "channels", 1),
-            retune_cost=getattr(config, "retune_cost", 1.0),
+            retune_cost=config.retune_cost,
         )
     finally:
         if attached_to_caller:
@@ -212,15 +211,11 @@ def execute_plan(
             "increase num_requests or lower cache_size"
         )
 
-    # A multi-channel program reports its aggregate utilisation over
-    # all channel slots plus the per-channel breakdown; the
-    # single-channel expression is untouched.
+    # Utilisation is over all channel slots; a multi-channel program
+    # also reports the per-channel breakdown.
     channel_utilisation = None
-    if hasattr(schedule, "channel_utilisation"):
-        utilisation = schedule.utilisation
+    if schedule.num_channels > 1:
         channel_utilisation = list(schedule.channel_utilisation())
-    else:
-        utilisation = 1.0 - schedule.empty_slots / schedule.period
 
     return ExperimentResult(
         config=config,
@@ -231,7 +226,7 @@ def execute_plan(
         measured_requests=outcome.measured_requests,
         warmup_requests=outcome.warmup_requests,
         schedule_period=schedule.period,
-        schedule_utilisation=utilisation,
+        schedule_utilisation=schedule.utilisation,
         wall_seconds=perf_counter() - started,
         samples=outcome.samples,
         retunes=outcome.retunes,

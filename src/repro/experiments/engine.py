@@ -17,16 +17,22 @@ The inner loop is written to be allocation-free (see
   the schedule's tables) is hoisted to a local before the loop;
 * the warm-up and measured phases run as two separate loops, so the
   per-request ``warming`` branching disappears entirely;
-* waits come from the schedule's precomputed timing structures: the
-  §2.1 fixed-inter-arrival property in closed form
-  (:meth:`repro.core.schedule.BroadcastSchedule.fixed_gap` — two
-  integer ops per miss, inlined below) for every page of a §2.2
-  program, with a transparent fallback to ``next_arrival`` (wait table
-  or bisection) for irregular schedules;
-* tracing runs in a separate loop (:meth:`FastEngine._run_trace_traced`)
-  so the hot path carries no tracer branches; the traced loop is also
-  the *reference loop* (:meth:`FastEngine.run_trace_reference`) that the
-  perf gate and the equivalence tests compare against.
+* everything a miss needs about a physical page — its §2.1
+  fixed-gap pair (:meth:`repro.core.schedule.BroadcastSchedule.
+  fixed_gap`), its channel and its disk — sits in one per-run dict
+  entry, so a miss costs one dict probe and two integer ops, with a
+  transparent fallback to ``next_arrival`` (wait table or bisection)
+  for irregular pages;
+* the loop is independent of the channel count: a single schedule is
+  a one-row program whose pages all sit on channel 0, so its tuner
+  never switches;
+* tracing, profiling and the bisection reference arithmetic run in one
+  separate *general loop* (:meth:`FastEngine._run_trace_general`), so
+  the hot path carries no observer branches; the reference run
+  (:meth:`FastEngine.run_trace_reference`) is that loop with
+  :meth:`~repro.core.schedule.BroadcastSchedule.next_arrival_bisect`
+  arithmetic, which the perf gate and the equivalence tests compare
+  against.
 
 The engine is semantically identical to the process-oriented engine in
 :mod:`repro.experiments.simengine` — the test suite feeds both the same
@@ -42,11 +48,11 @@ beginning our measurements only after the cache was full"), after which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.base import CacheCounters, CachePolicy
 from repro.core.disks import DiskLayout
-from repro.core.schedule import BroadcastProgram, BroadcastSchedule
+from repro.core.schedule import BroadcastSchedule
 from repro.errors import ConfigurationError
 from repro.sim.stats import RunningStats
 from repro.workload.mapping import LogicalPhysicalMapping
@@ -76,7 +82,14 @@ class EngineOutcome:
 
 
 class FastEngine:
-    """Request-to-request stepping over a periodic broadcast schedule."""
+    """Request-to-request stepping over a periodic broadcast schedule.
+
+    ``schedule`` is a single :class:`~repro.core.schedule.
+    BroadcastSchedule` or a C-row :class:`~repro.core.schedule.
+    BroadcastProgram`; both expose the same channel surface, and the
+    client's single-frequency tuner (start on channel 0, pay
+    ``retune_cost`` broadcast units per switch) runs for every C.
+    """
 
     def __init__(
         self,
@@ -97,11 +110,6 @@ class FastEngine:
                 f"retune_cost must be >= 0, got {retune_cost}"
             )
         self.schedule = schedule
-        #: Set when ``schedule`` is a multi-channel
-        #: :class:`~repro.core.schedule.BroadcastProgram`; such runs take
-        #: the tuner-aware loop (:meth:`_run_trace_multichannel`) and the
-        #: single-channel hot path below is never entered.
-        self.program = schedule if isinstance(schedule, BroadcastProgram) else None
         self.retune_cost = retune_cost
         self.mapping = mapping
         self.layout = layout
@@ -111,7 +119,7 @@ class FastEngine:
         #: Optional :class:`repro.obs.trace.Tracer` emitting the same
         #: ``client.*`` records as the process engine's client; ``None``
         #: (the default) adds nothing to the hot loop — the traced run
-        #: takes a separate code path entirely.
+        #: takes the general loop instead.
         self.tracer = tracer
         #: Optional :class:`repro.obs.profile.Profiler`.  An enabled
         #: profiler routes :meth:`run_trace` through the general loop so
@@ -140,53 +148,34 @@ class FastEngine:
         tracer = self.tracer
         if tracer is not None and not tracer.enabled:
             tracer = None
-        if self.program is not None:
-            profile = self.profile
-            return self._run_trace_multichannel(
-                trace,
-                warmup_requests=warmup_requests,
-                collect_responses=collect_responses,
-                extra_warmup=extra_warmup,
-                tracer=tracer,
-                dispatch_arithmetic=(
-                    profile is not None and profile.enabled
-                ),
-            )
-        if tracer is not None:
-            return self._run_trace_traced(
-                trace,
-                warmup_requests=warmup_requests,
-                collect_responses=collect_responses,
-                extra_warmup=extra_warmup,
-                tracer=tracer,
-            )
         profile = self.profile
-        if profile is not None and profile.enabled:
-            # Profiled runs take the general loop too: its misses all
-            # dispatch through ``schedule.next_arrival`` and are counted
-            # per timing tier, where the hot loop below inlines the
-            # closed form and would under-attribute.  The equivalence
-            # tests hold the two loops byte-identical, so profiling
-            # never changes measurements — only wall time.
-            return self._run_trace_traced(
+        if tracer is not None or (profile is not None and profile.enabled):
+            # Traced and profiled runs take the general loop: its misses
+            # all dispatch through ``schedule.next_arrival`` and are
+            # counted per timing tier, where the hot loop below inlines
+            # the closed form and would under-attribute.  The
+            # equivalence tests hold the two loops byte-identical, so
+            # observing never changes measurements — only wall time.
+            return self._run_trace_general(
                 trace,
                 warmup_requests=warmup_requests,
                 collect_responses=collect_responses,
                 extra_warmup=extra_warmup,
-                tracer=None,
+                tracer=tracer,
+                next_arrival=self.schedule.next_arrival,
+                name="fast",
             )
 
-        schedule = self.schedule
         cache = self.cache
         think = self.think_time
+        retune_cost = self.retune_cost
 
         # Hoist every per-request attribute lookup out of the loops.
         cache_lookup = cache.lookup
         cache_admit = cache.admit
         to_physical = self.mapping.to_physical
-        disk_of_physical = self.layout.disk_of_page
-        next_arrival = schedule.next_arrival
-        fixed_gap = schedule.fixed_gap
+        next_arrival = self.schedule.next_arrival
+        page_info = self._page_info
 
         response = RunningStats()
         counters = CacheCounters()
@@ -201,18 +190,13 @@ class FastEngine:
         total = len(pages)
         now = self.now
 
-        # Per-run cache of each physical page's (residue, gap) pair —
-        # the §2.1 fixed-inter-arrival property in closed form, so a
-        # miss costs one dict probe and two integer ops.  ``False``
-        # marks irregular pages, which go through
-        # ``schedule.next_arrival`` (wait table or bisection).
-        gaps: Dict[int, object] = {}
-        gaps_get = gaps.get
-        # Same trick for the miss counters' disk attribution:
-        # ``disk_of_page`` bounds-checks and scans the disk sizes on
-        # every call, but a page's disk never changes.
-        disks: Dict[int, int] = {}
-        disks_get = disks.get
+        # Per-run cache of each physical page's (residue, gap, channel,
+        # disk) — see :meth:`_page_info` — so a miss costs one dict
+        # probe and two integer ops.
+        info: Dict[int, Tuple[int, int, int, int]] = {}
+        info_get = info.get
+        current = 0  # tuned channel; every client starts on channel 0
+        retunes = 0
 
         # ---- warm-up phase -------------------------------------------------
         # Measurement starts after ``warmup_requests`` requests when
@@ -231,16 +215,19 @@ class FastEngine:
             if cache_lookup(page, now):
                 continue
             physical = to_physical(page)
-            entry = gaps_get(physical)
+            entry = info_get(physical)
             if entry is None:
-                entry = fixed_gap(physical)
-                gaps[physical] = entry if entry is not None else False
-            if entry:
-                residue, gap = entry
-                base = int(now) + 1
+                entry = info[physical] = page_info(physical)
+            residue, gap, channel, disk = entry
+            listen = now
+            if channel != current:
+                current = channel
+                listen = now + retune_cost
+            if gap:
+                base = int(listen) + 1
                 now = float(base + (residue - base) % gap)
             else:
-                now = next_arrival(physical, now)
+                now = next_arrival(physical, listen)
             cache_admit(page, now)
         warmup_seen = index
 
@@ -255,24 +242,24 @@ class FastEngine:
                     samples.append(0.0)
                 continue
             physical = to_physical(page)
-            entry = gaps_get(physical)
+            entry = info_get(physical)
             if entry is None:
-                entry = fixed_gap(physical)
-                gaps[physical] = entry if entry is not None else False
-            if entry:
-                residue, gap = entry
-                base = int(now) + 1
+                entry = info[physical] = page_info(physical)
+            residue, gap, channel, disk = entry
+            listen = now
+            if channel != current:
+                current = channel
+                retunes += 1
+                listen = now + retune_cost
+            if gap:
+                base = int(listen) + 1
                 arrival = float(base + (residue - base) % gap)
             else:
-                arrival = next_arrival(physical, now)
+                arrival = next_arrival(physical, listen)
             wait = arrival - now
             now = arrival
             cache_admit(page, now)
             response_add(wait)
-            disk = disks_get(physical)
-            if disk is None:
-                disk = disk_of_physical(physical)
-                disks[physical] = disk
             record_miss(disk)
             if samples is not None:
                 samples.append(wait)
@@ -285,6 +272,25 @@ class FastEngine:
             warmup_requests=warmup_seen,
             final_time=now,
             samples=samples,
+            retunes=retunes,
+        )
+
+    def _page_info(self, physical: int) -> Tuple[int, int, int, int]:
+        """``(residue, gap, channel, disk)`` of one physical page.
+
+        The §2.1 fixed-inter-arrival property in closed form: the next
+        completion after ``t`` is ``base + (residue - base) % gap`` with
+        ``base = floor(t) + 1``.  A gap of ``0`` marks an irregular page,
+        which goes through ``schedule.next_arrival`` (wait table or
+        bisection).  The channel drives the tuner and the disk the miss
+        counters' attribution; neither changes over a run.
+        """
+        schedule = self.schedule
+        entry = schedule.fixed_gap(physical)
+        residue, gap = (0, 0) if entry is None else entry
+        return (
+            residue, gap, schedule.channel_of(physical),
+            self.layout.disk_of_page(physical),
         )
 
     def run_trace_reference(
@@ -294,10 +300,10 @@ class FastEngine:
         collect_responses: bool = False,
         extra_warmup: int = 0,
     ) -> EngineOutcome:
-        """The pre-optimisation loop, kept verbatim as the golden model.
+        """The golden model: the general loop on bisection arithmetic.
 
-        One request at a time through the single general-purpose loop,
-        waits from :meth:`~repro.core.schedule.BroadcastSchedule.
+        One request at a time through :meth:`_run_trace_general`, waits
+        from :meth:`~repro.core.schedule.BroadcastSchedule.
         next_arrival_bisect`.  ``benchmarks/bench_engine.py`` and the
         equivalence tests run this against :meth:`run_trace` and demand
         byte-identical measurements; it is registered as the
@@ -306,25 +312,17 @@ class FastEngine:
         tracer = self.tracer
         if tracer is not None and not tracer.enabled:
             tracer = None
-        if self.program is not None:
-            return self._run_trace_multichannel(
-                trace,
-                warmup_requests=warmup_requests,
-                collect_responses=collect_responses,
-                extra_warmup=extra_warmup,
-                tracer=tracer,
-                reference_arithmetic=True,
-            )
-        return self._run_trace_traced(
+        return self._run_trace_general(
             trace,
             warmup_requests=warmup_requests,
             collect_responses=collect_responses,
             extra_warmup=extra_warmup,
             tracer=tracer,
-            reference_arithmetic=True,
+            next_arrival=self.schedule.next_arrival_bisect,
+            name="reference",
         )
 
-    def _run_trace_traced(
+    def _run_trace_general(
         self,
         trace: RequestTrace,
         *,
@@ -332,128 +330,23 @@ class FastEngine:
         collect_responses: bool,
         extra_warmup: int,
         tracer,
-        reference_arithmetic: bool = False,
+        next_arrival: Callable[[int, float], float],
+        name: str,
     ) -> EngineOutcome:
-        """The general-purpose loop: tracing hooks, one request at a time.
+        """The general-purpose loop: one request at a time, with hooks.
 
-        Used for traced runs (where per-request emit calls dominate
-        anyway) and, with ``reference_arithmetic=True``, as the frozen
-        reference implementation for the perf gate.
+        Same phase protocol and single-frequency tuner as the hot loop —
+        the client listens to one channel at a time (channel 0
+        initially), and a miss whose page lives on a different channel
+        first retunes, moving the earliest usable completion from
+        ``now`` to ``now + retune_cost`` — but the warm-up state is
+        resolved per request, every miss dispatches through
+        ``next_arrival`` (``schedule.next_arrival`` for traced and
+        profiled runs, the bisection for the reference), and an enabled
+        tracer receives the ``client.*`` records.  ``name`` keys the
+        profile counters (``engine.<name>.*``).
         """
         schedule = self.schedule
-        mapping = self.mapping
-        cache = self.cache
-        think = self.think_time
-        disk_of_physical = self.layout.disk_of_page
-        next_arrival = (
-            schedule.next_arrival_bisect
-            if reference_arithmetic
-            else schedule.next_arrival
-        )
-
-        response = RunningStats()
-        counters = CacheCounters()
-        samples: Optional[List[float]] = [] if collect_responses else None
-
-        warming = True
-        warmup_seen = 0
-        extra_left = extra_warmup
-        now = self.now
-        total_hits = 0
-        total_misses = 0
-
-        for index in range(len(trace)):
-            page = trace[index]
-            now += think
-            if warming:
-                if warmup_requests is not None:
-                    warming = warmup_seen < warmup_requests
-                elif cache.is_full:
-                    if extra_left <= 0:
-                        warming = False
-                    else:
-                        extra_left -= 1
-            if not warming:
-                measuring = True
-            else:
-                measuring = False
-                warmup_seen += 1
-            if tracer is not None:
-                tracer.emit(
-                    "client.request", now, page=int(page),
-                    phase="measured" if measuring else "warmup",
-                )
-
-            if cache.lookup(page, now):
-                total_hits += 1
-                if tracer is not None:
-                    tracer.emit("client.hit", now, page=int(page))
-                if measuring:
-                    response.add(0.0)
-                    counters.record_hit()
-                    if samples is not None:
-                        samples.append(0.0)
-                continue
-
-            total_misses += 1
-            physical = mapping.to_physical(page)
-            arrival = next_arrival(physical, now)
-            wait = arrival - now
-            if tracer is not None:
-                tracer.emit("client.miss", now, page=int(page),
-                            physical=int(physical))
-                tracer.emit("client.wait", arrival, page=int(page),
-                            physical=int(physical), wait=wait)
-            now = arrival
-            cache.admit(page, now)
-            if measuring:
-                response.add(wait)
-                counters.record_miss(disk_of_physical(physical))
-                if samples is not None:
-                    samples.append(wait)
-
-        profile = self.profile
-        if profile is not None and profile.enabled:
-            name = "reference" if reference_arithmetic else "fast"
-            profile.count(f"engine.{name}.loop_iterations", len(trace))
-            profile.count(f"engine.{name}.hits", total_hits)
-            profile.count(f"engine.{name}.misses", total_misses)
-
-        self.now = now
-        return EngineOutcome(
-            response=response,
-            counters=counters,
-            measured_requests=response.count,
-            warmup_requests=warmup_seen,
-            final_time=now,
-            samples=samples,
-        )
-
-    def _run_trace_multichannel(
-        self,
-        trace: RequestTrace,
-        *,
-        warmup_requests: Optional[int],
-        collect_responses: bool,
-        extra_warmup: int,
-        tracer,
-        reference_arithmetic: bool = False,
-        dispatch_arithmetic: bool = False,
-    ) -> EngineOutcome:
-        """The tuner-aware loop for multi-channel programs.
-
-        Same phase protocol as the single-channel loops, plus the
-        single-frequency tuner: the client listens to one channel at a
-        time (channel 0 initially), and a miss whose page lives on a
-        different channel first retunes — the earliest usable completion
-        moves from ``now`` to ``now + retune_cost`` broadcast units.
-        Waits still come from the §2.1 closed form (each channel row is
-        a §2.2 program with fixed per-page gaps); ``reference_arithmetic``
-        swaps in the bisection golden model and ``dispatch_arithmetic``
-        (profiled runs) routes every miss through ``next_arrival`` so the
-        timing tiers are attributed.
-        """
-        program = self.program
         cache = self.cache
         think = self.think_time
         retune_cost = self.retune_cost
@@ -462,14 +355,7 @@ class FastEngine:
         cache_admit = cache.admit
         to_physical = self.mapping.to_physical
         disk_of_physical = self.layout.disk_of_page
-        channel_map = program.channel_map()
-        next_arrival = (
-            program.next_arrival_bisect
-            if reference_arithmetic
-            else program.next_arrival
-        )
-        fixed_gap = program.fixed_gap
-        closed_form = not (reference_arithmetic or dispatch_arithmetic)
+        channel_of = schedule.channel_of
 
         response = RunningStats()
         counters = CacheCounters()
@@ -484,14 +370,9 @@ class FastEngine:
         total_hits = 0
         total_misses = 0
         total_retunes = 0
-        gaps: Dict[int, object] = {}
-        gaps_get = gaps.get
-        disks: Dict[int, int] = {}
-        disks_get = disks.get
 
         pages = trace.pages.tolist()
-        for index in range(len(pages)):
-            page = pages[index]
+        for page in pages:
             now += think
             if warming:
                 if warmup_requests is not None:
@@ -506,14 +387,14 @@ class FastEngine:
                 warmup_seen += 1
             if tracer is not None:
                 tracer.emit(
-                    "client.request", now, page=int(page),
+                    "client.request", now, page=page,
                     phase="measured" if measuring else "warmup",
                 )
 
             if cache_lookup(page, now):
                 total_hits += 1
                 if tracer is not None:
-                    tracer.emit("client.hit", now, page=int(page))
+                    tracer.emit("client.hit", now, page=page)
                 if measuring:
                     response.add(0.0)
                     counters.record_hit()
@@ -523,10 +404,10 @@ class FastEngine:
 
             total_misses += 1
             physical = to_physical(page)
-            target = channel_map[physical]
+            target = channel_of(physical)
             listen = now
             if tracer is not None:
-                tracer.emit("client.miss", now, page=int(page),
+                tracer.emit("client.miss", now, page=page,
                             physical=int(physical))
             if target != current:
                 total_retunes += 1
@@ -534,48 +415,32 @@ class FastEngine:
                     retunes_measured += 1
                 if tracer is not None:
                     tracer.emit(
-                        "client.retune", now, page=int(page),
+                        "client.retune", now, page=page,
                         physical=int(physical),
                         from_channel=current, to_channel=target,
                     )
                 current = target
                 listen = now + retune_cost
-            if closed_form:
-                entry = gaps_get(physical)
-                if entry is None:
-                    entry = fixed_gap(physical)
-                    gaps[physical] = entry if entry is not None else False
-                if entry:
-                    residue, gap = entry
-                    base = int(listen) + 1
-                    arrival = float(base + (residue - base) % gap)
-                else:
-                    arrival = next_arrival(physical, listen)
-            else:
-                arrival = next_arrival(physical, listen)
+            arrival = next_arrival(physical, listen)
             wait = arrival - now
             if tracer is not None:
-                tracer.emit("client.wait", arrival, page=int(page),
+                tracer.emit("client.wait", arrival, page=page,
                             physical=int(physical), wait=wait)
             now = arrival
             cache_admit(page, now)
             if measuring:
                 response.add(wait)
-                disk = disks_get(physical)
-                if disk is None:
-                    disk = disk_of_physical(physical)
-                    disks[physical] = disk
-                counters.record_miss(disk)
+                counters.record_miss(disk_of_physical(physical))
                 if samples is not None:
                     samples.append(wait)
 
         profile = self.profile
         if profile is not None and profile.enabled:
-            name = "reference" if reference_arithmetic else "fast"
             profile.count(f"engine.{name}.loop_iterations", len(pages))
             profile.count(f"engine.{name}.hits", total_hits)
             profile.count(f"engine.{name}.misses", total_misses)
-            profile.count(f"engine.{name}.retunes", total_retunes)
+            if schedule.num_channels > 1:
+                profile.count(f"engine.{name}.retunes", total_retunes)
 
         self.now = now
         return EngineOutcome(

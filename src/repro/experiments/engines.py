@@ -113,13 +113,12 @@ def get_plan_engine(name: str) -> EngineSpec:
 # ---------------------------------------------------------------------------
 
 def _run_plan_fast(plan, *, config, schedule, mapping, layout, cache, trace,
-                   tracer=None, profile=None, channels=1, retune_cost=1.0):
+                   tracer=None, profile=None, retune_cost=1.0):
     """Drive the analytic-stepping engine for one plan.
 
-    ``channels``/``retune_cost`` arrive keyword-only from the plan
-    executor; ``schedule`` is already the built single-channel schedule
-    or C-row program, so ``channels`` is advisory here and
-    ``retune_cost`` parameterises the engine's tuner.
+    ``schedule`` is already the built single-channel schedule or C-row
+    program; ``retune_cost`` arrives keyword-only from the plan
+    executor and parameterises the engine's tuner.
     """
     from repro.experiments.engine import FastEngine
 
@@ -143,12 +142,12 @@ def _run_plan_fast(plan, *, config, schedule, mapping, layout, cache, trace,
 
 def _run_plan_fast_reference(plan, *, config, schedule, mapping, layout,
                              cache, trace, tracer=None, profile=None,
-                             channels=1, retune_cost=1.0):
-    """Drive the frozen pre-optimisation fast loop for one plan.
+                             retune_cost=1.0):
+    """Drive the fast engine's reference loop for one plan.
 
     Same engine object as ``fast`` but through
     :meth:`~repro.experiments.engine.FastEngine.run_trace_reference`:
-    the original single general-purpose loop with bisection arithmetic.
+    the general per-request loop with bisection arithmetic.
     ``benchmarks/bench_engine.py`` runs it as the baseline arm of the
     byte-identity perf gate.
     """
@@ -173,7 +172,7 @@ def _run_plan_fast_reference(plan, *, config, schedule, mapping, layout,
 
 
 def _run_plan_process(plan, *, config, schedule, mapping, layout, cache,
-                      trace, tracer=None, profile=None, channels=1,
+                      trace, tracer=None, profile=None,
                       retune_cost=1.0):
     """Drive the process-oriented engine for one plan."""
     from repro.experiments.engine import EngineOutcome
@@ -205,7 +204,7 @@ def _run_plan_process(plan, *, config, schedule, mapping, layout, cache,
 
 
 def _run_plan_batch(plan, *, config, schedule, mapping, layout, cache,
-                    trace, tracer=None, profile=None, channels=1,
+                    trace, tracer=None, profile=None,
                     retune_cost=1.0):
     """Drive the columnar batch engine for a single plan (N == 1).
 
@@ -234,7 +233,7 @@ def _run_plan_batch(plan, *, config, schedule, mapping, layout, cache,
         return _run_plan_fast(
             plan, config=config, schedule=schedule, mapping=mapping,
             layout=layout, cache=cache, trace=trace, tracer=tracer,
-            profile=profile, channels=channels, retune_cost=retune_cost,
+            profile=profile, retune_cost=retune_cost,
         )
     outcome = engine.run(
         trace.pages[:, None],
@@ -256,7 +255,7 @@ register_engine(EngineSpec(
 
 register_engine(EngineSpec(
     name="fast-reference",
-    summary="frozen pre-optimisation fast loop (perf-gate baseline)",
+    summary="general fast loop on bisection arithmetic (perf-gate baseline)",
     executes_plans=True,
     run_plan=_run_plan_fast_reference,
 ))

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from repro.cache.base import CachePolicy
 from repro.client.client import ChannelTuner, Client, ClientReport
 from repro.core.disks import DiskLayout
-from repro.core.schedule import BroadcastProgram, BroadcastSchedule
+from repro.core.schedule import BroadcastSchedule
 from repro.errors import SimulationError
 from repro.server.channel import BroadcastChannel
 from repro.server.server import BroadcastServer
@@ -49,27 +49,23 @@ class ProcessEngine:
         self.schedule = schedule
         self.layout = layout
         self.sim = Simulator()
-        #: Set for multi-channel programs: one physical
-        #: :class:`BroadcastChannel` + :class:`BroadcastServer` pair per
-        #: program row, all on the shared simulator; clients then attach
-        #: through per-client :class:`ChannelTuner` state.
-        self.program = schedule if isinstance(schedule, BroadcastProgram) else None
         self.retune_cost = retune_cost
-        if self.program is None:
-            self.channel = BroadcastChannel(self.sim, schedule)
-            self.server = BroadcastServer(self.sim, schedule, self.channel)
-            self.channels = [self.channel]
-            self.servers = [self.server]
-        else:
-            self.channels = []
-            self.servers = []
-            for index, row in enumerate(self.program.channels):
-                channel = BroadcastChannel(self.sim, row)
+        #: One physical :class:`BroadcastChannel` + :class:`BroadcastServer`
+        #: pair per schedule row (a single schedule is its own only row),
+        #: all on the shared simulator; clients attach through per-client
+        #: :class:`ChannelTuner` state.
+        self.channels: List[BroadcastChannel] = []
+        self.servers: List[BroadcastServer] = []
+        multichannel = schedule.num_channels > 1
+        for index, row in enumerate(schedule.channels):
+            channel = BroadcastChannel(self.sim, row)
+            if multichannel:
+                # Single-channel deliveries carry no ``channel`` field.
                 channel.channel_index = index
-                self.channels.append(channel)
-                self.servers.append(BroadcastServer(self.sim, row, channel))
-            self.channel = self.channels[0]
-            self.server = self.servers[0]
+            self.channels.append(channel)
+            self.servers.append(BroadcastServer(self.sim, row, channel))
+        self.channel = self.channels[0]
+        self.server = self.servers[0]
         self.clients: List[Client] = []
         #: Optional :class:`repro.obs.trace.Tracer` shared by the kernel,
         #: the channels, and every attached client.
@@ -85,16 +81,14 @@ class ProcessEngine:
 
     def add_client(self, spec: ClientSpec) -> Client:
         """Attach a client process built from ``spec``."""
-        tuner = None
-        if self.program is not None:
-            tuner = ChannelTuner(
-                channels=self.channels,
-                channel_of=self.program.channel_map(),
-                retune_cost=self.retune_cost,
-            )
+        tuner = ChannelTuner(
+            channels=self.channels,
+            channel_of=self.schedule.channel_map(),
+            retune_cost=self.retune_cost,
+        )
         client = Client(
             sim=self.sim,
-            channel=self.channel,
+            tuner=tuner,
             mapping=spec.mapping,
             layout=self.layout,
             cache=spec.cache,
@@ -105,7 +99,6 @@ class ProcessEngine:
             extra_warmup=spec.extra_warmup,
             name=spec.name,
             tracer=self.tracer,
-            tuner=tuner,
         )
         self.clients.append(client)
         return client

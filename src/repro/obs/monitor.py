@@ -329,12 +329,11 @@ class SchedulePeriodicityMonitor(Monitor):
         schedule = self.context.schedule
         if schedule is None:
             return
-        if hasattr(schedule, "channel_schedule"):
-            # Multi-channel program: the record names its row, and the
-            # periodicity contract holds per channel.
-            schedule = schedule.channel_schedule(
-                int(record.fields.get("channel", 0))
-            )
+        # The periodicity contract holds per channel row; multi-channel
+        # records name their row, single-channel ones sit on row 0.
+        schedule = schedule.channel_schedule(
+            int(record.fields.get("channel", 0))
+        )
         now = record.time
         if abs(now - round(now)) > TIME_TOLERANCE:
             self._violate(

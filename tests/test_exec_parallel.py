@@ -259,6 +259,59 @@ class TestCheckpointResume:
         # Everything came from the journal: no new entries were added.
         assert len(reopened) == len(configs)
 
+    def test_torn_final_line_resumes_and_appends_cleanly(self, tmp_path):
+        configs = small_grid()[:3]
+        path = os.fspath(tmp_path / "torn.jsonl")
+        SerialExecutor().run(
+            plan_sweep(configs[:2]), checkpoint=SweepCheckpoint(path)
+        )
+        with open(path) as handle:
+            lines = handle.readlines()
+        # A sweep killed mid-append: the second entry is cut short and
+        # has no trailing newline.
+        with open(path, "w") as handle:
+            handle.write(lines[0] + lines[1][: len(lines[1]) // 2])
+
+        resumed = SweepCheckpoint(path)
+        assert resumed.resumed == 1
+        plans = plan_sweep(configs)
+        assert plans[0] in resumed and plans[1] not in resumed
+        results = SerialExecutor().run(plans, checkpoint=resumed)
+        reference = SerialExecutor().run(plan_sweep(configs))
+        assert [r.mean_response_time for r in results] == [
+            r.mean_response_time for r in reference
+        ]
+
+        reopened = SweepCheckpoint(path)
+        assert reopened.resumed == len(configs)
+        for plan, expected in zip(plans, reference):
+            replayed = reopened.lookup(plan)
+            assert replayed.response_stats._m2 == \
+                expected.response_stats._m2
+
+    def test_corrupt_middle_line_raises(self, tmp_path):
+        configs = small_grid()[:2]
+        path = os.fspath(tmp_path / "corrupt.jsonl")
+        SerialExecutor().run(
+            plan_sweep(configs), checkpoint=SweepCheckpoint(path)
+        )
+        with open(path) as handle:
+            lines = handle.readlines()
+        with open(path, "w") as handle:
+            handle.write(lines[0][:20] + "\n" + lines[1])
+        with pytest.raises(ConfigurationError, match="line 1 is corrupt"):
+            SweepCheckpoint(path)
+
+    def test_foreign_schema_raises(self, tmp_path):
+        path = os.fspath(tmp_path / "foreign.jsonl")
+        with open(path, "w") as handle:
+            handle.write(json.dumps({
+                "schema": "something.else/1", "fingerprint": "x",
+                "state": {},
+            }) + "\n")
+        with pytest.raises(ConfigurationError, match="schema"):
+            SweepCheckpoint(path)
+
     def test_checkpoint_preserves_samples(self, tmp_path):
         config = small_config(num_requests=150)
         path = os.fspath(tmp_path / "one.jsonl")

@@ -214,7 +214,7 @@ def _channel_config(channels, policy, cache_size, retune_cost, think_time,
 
 
 class TestMultiChannelTunerEquivalence:
-    """Batched tuner decisions == scalar ``_run_trace_multichannel``.
+    """Batched tuner decisions == the fast engine's scalar tuner.
 
     Trace-stream equality pins the retune *instants* and the
     from/to channel fields; sample equality pins the retune *costs*

@@ -4,7 +4,8 @@ Two guarantees, over arbitrary layouts rather than the paper's presets:
 
 * **C=1 reduction** — a one-channel program is byte-identical to the
   legacy single-channel schedule: same slot list, same ``next_arrival``
-  floats, same fast-engine measurements;
+  floats, same measurements, retunes and trace records through every
+  engine loop, same fleet-kernel tables;
 * **partition** — for any channel count, the union of the channel rows
   is a permutation-free partition of the single-channel page multiset:
   every page appears on exactly one row, with exactly its Δ-rule
@@ -12,15 +13,22 @@ Two guarantees, over arbitrary layouts rather than the paper's presets:
   one gap window (fixed inter-arrival survives the split).
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch.fleet import _phase_tables
 from repro.core.channels import assign_channels, build_program
 from repro.core.chunks import EMPTY_SLOT
 from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program
+from repro.core.schedule import BroadcastProgram
+from repro.exec.plan import RunPlan
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.engines import get_plan_engine
 from repro.experiments.runner import run_experiment
+from repro.obs.trace import MemorySink, Tracer
+from repro.workload.trace import generate_trace
 
 
 @st.composite
@@ -51,6 +59,49 @@ query_instants = st.one_of(
     st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
     st.integers(min_value=0, max_value=300).map(float),
 )
+
+
+#: (plan engine, traced) pairs covering every request loop: the fast
+#: engine's hot loop (untraced) and general loop (traced), its
+#: bisection reference, the process engine, and the columnar engine.
+ONE_ROW_RUNS = (
+    ("fast", False),
+    ("fast", True),
+    ("fast-reference", True),
+    ("process", True),
+    ("batch", True),
+)
+
+
+def one_row_runs(config, layout, schedule):
+    """Samples, retunes and trace records of every loop on ``schedule``."""
+    distribution = config.build_distribution()
+    trace = generate_trace(
+        distribution, config.num_requests + 40,
+        config.build_streams().stream("requests"),
+    )
+    runs = []
+    for engine, traced in ONE_ROW_RUNS:
+        mapping = config.build_mapping(layout)
+        sink = MemorySink()
+        outcome = get_plan_engine(engine).run_plan(
+            RunPlan(config=config, engine=engine, collect_responses=True),
+            config=config,
+            schedule=schedule,
+            mapping=mapping,
+            layout=layout,
+            cache=config.build_policy(schedule, mapping, distribution,
+                                      layout),
+            trace=trace,
+            tracer=Tracer(sink) if traced else None,
+        )
+        records = [
+            (record.kind, record.time, sorted(record.fields.items()))
+            for record in sink.records
+        ]
+        runs.append((engine, traced, outcome.samples, outcome.retunes,
+                     outcome.final_time, records))
+    return runs
 
 
 class TestSingleChannelReduction:
@@ -99,6 +150,57 @@ class TestSingleChannelReduction:
         assert reduced.mean_response_time == legacy.mean_response_time
         assert reduced.hit_rate == legacy.hit_rate
         assert reduced.retunes == 0
+
+
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=3, max_value=24),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(["LRU", "LIX", "PIX"]),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_one_row_program_runs_like_the_schedule(
+        self, fast_pages, slow_pages, delta, policy, seed
+    ):
+        config = ExperimentConfig(
+            disk_sizes=(fast_pages, slow_pages),
+            delta=delta,
+            cache_size=max(2, fast_pages // 2),
+            policy=policy,
+            access_range=fast_pages + slow_pages,
+            region_size=1,
+            num_requests=120,
+            seed=seed,
+        )
+        layout = config.build_layout()
+        program = build_program(layout, 1)
+        assert isinstance(program, BroadcastProgram)
+        program_runs = one_row_runs(config, layout, program)
+        legacy_runs = one_row_runs(config, layout,
+                                   _multidisk_program(layout))
+        assert program_runs == legacy_runs
+        for _engine, traced, _samples, retunes, _final, records in \
+                program_runs:
+            assert retunes == 0
+            assert bool(records) == traced
+
+    @given(
+        delta_layouts(),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_tables_byte_identical(self, layout, think, retune):
+        program = build_program(layout, 1)
+        legacy = _multidisk_program(layout)
+        physical = np.arange(layout.total_pages, dtype=np.int64)
+        tables = _phase_tables(program, physical, think, retune)
+        expected = _phase_tables(legacy, physical, think, retune)
+        assert tables[2] == expected[2]
+        for table, reference in zip(tables[:2], expected[:2]):
+            assert table.dtype == reference.dtype
+            assert np.array_equal(table, reference)
 
 
 class TestPartitionProperty:
