@@ -41,8 +41,13 @@ from repro.experiments.config import (
     DISK_PRESETS,
     ExperimentConfig,
 )
+from repro.experiments.engines import REFERENCE_ENGINE, register_engine
 from repro.obs.clock import perf_counter
 from repro.obs.manifest import config_hash
+
+# The reference loop is not a registered engine; this script runs it
+# by name, so it registers it in its own process.
+register_engine(REFERENCE_ENGINE)
 
 #: Acceptance target (ISSUE 5): the optimized loop must at least halve
 #: the fig5-grid wall clock relative to the frozen reference loop.

@@ -51,12 +51,17 @@ from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
+from repro.experiments.engines import REFERENCE_ENGINE, register_engine
 from repro.experiments.figures import multichannel_study
 from repro.experiments.runner import run_experiment
 from repro.obs.monitor import MonitorSuite
 from repro.obs.regress import render_text, run_gate
 from repro.obs.trace import MemorySink, Tracer
 from repro.workload.trace import generate_trace
+
+# The reference loop is not a registered engine; this script runs it
+# by name, so it registers it in its own process.
+register_engine(REFERENCE_ENGINE)
 
 #: Bench parameters: fixed, so the document is deterministic and CI
 #: reproduces the committed BENCH_multichannel.json byte-for-byte.

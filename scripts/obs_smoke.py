@@ -41,6 +41,7 @@ from repro.cache.base import PolicyContext
 from repro.cache.registry import make_policy
 from repro.core.programs import ProgramSpec
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.engines import REFERENCE_ENGINE, register_engine
 from repro.experiments.runner import sweep_results
 from repro.experiments.simengine import ClientSpec, ProcessEngine
 from repro.obs.analyze import analyze
@@ -54,6 +55,10 @@ from repro.sim.rng import RandomStreams
 from repro.workload.mapping import LogicalPhysicalMapping
 from repro.workload.trace import generate_trace
 from repro.workload.zipf import ZipfRegionDistribution
+
+# The reference loop is not a registered engine; this script runs it
+# by name, so it registers it in its own process.
+register_engine(REFERENCE_ENGINE)
 
 
 def _fig5_configs():

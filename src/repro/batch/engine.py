@@ -35,6 +35,7 @@ in batch mode (asserted in CI).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -162,13 +163,13 @@ class ColumnarEngine:
         *,
         retune_cost: float = 1.0,
     ):
-        if think_time < 0:
+        if not (math.isfinite(think_time) and think_time >= 0):
             raise ConfigurationError(
-                f"think_time must be >= 0, got {think_time}"
+                f"think_time must be finite and >= 0, got {think_time}"
             )
-        if retune_cost < 0:
+        if not (math.isfinite(retune_cost) and retune_cost >= 0):
             raise ConfigurationError(
-                f"retune_cost must be >= 0, got {retune_cost}"
+                f"retune_cost must be finite and >= 0, got {retune_cost}"
             )
         physical = np.asarray(physical, dtype=np.int64)
         if physical.ndim != 2:

@@ -10,42 +10,31 @@ The class pre-computes each page's occurrence list so the two timing
 queries the simulators need are cheap:
 
 * :meth:`next_arrival` — the first completion of a page after a given
-  time.  Because the program is periodic, the wait is a pure function
-  of the *slot offset* the request lands in, so the query is table
-  driven instead of searched: pages with a fixed inter-arrival gap
-  (every page of a §2.2 multidisk program — the property the paper
-  proves in §2.1) answer with O(1) modular arithmetic from a cached
-  ``(residue, gap)`` pair, and irregular pages answer from a
-  lazily-built per-page **wait table** (``wait[slot % period]``, an
-  int64 array) with one integer index.  Tables are built on a page's
-  first query and accounted against a configurable memory budget;
-  pages over budget fall back to :meth:`next_arrival_bisect`, the
-  original O(log occurrences) bisection, which is also kept as the
+  time.  Pages with a fixed inter-arrival gap (every page of a §2.2
+  multidisk program, and of every row of a C-channel program — the
+  property the paper proves in §2.1) answer with O(1) modular
+  arithmetic from a cached ``(residue, gap)`` pair; irregular pages
+  answer from :meth:`next_arrival_bisect`, the O(log occurrences)
+  bisection into the page's occurrence list, which is also kept as the
   reference implementation for the property tests and the perf gate.
 * :meth:`expected_delay` — the closed-form mean wait of a uniformly
   arriving request, ``sum(g^2) / (2 * period)`` over the inter-arrival
   gaps ``g`` (the Bus Stop Paradox in formula form: for fixed gaps this is
   ``period / (2 * count)``; variance in the gaps strictly increases it).
 
-See ``docs/PERFORMANCE.md`` for the hot-path design and the budget knob.
+See ``docs/PERFORMANCE.md`` for the hot-path design.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.chunks import EMPTY_SLOT
 from repro.errors import ScheduleError
-
-#: Default per-schedule memory budget for wait tables, in bytes.  A
-#: table costs ``8 * period`` bytes; at the paper's scale (periods in
-#: the tens of thousands, ~hundreds of distinct pages actually
-#: requested) the lazily-built tables stay in the tens of megabytes.
-DEFAULT_WAIT_TABLE_BUDGET = 64 * 1024 * 1024
 
 
 def _next_arrival_batch(
@@ -58,11 +47,11 @@ def _next_arrival_batch(
     pages (every page of a §2.2 multidisk program or program row) are
     answered in one closed-form array expression over the schedule's
     :meth:`~BroadcastSchedule.regular_timing` arrays; irregular pages
-    fall back to scalar ``next_arrival`` element by element, so the
-    wait-table/bisect hierarchy still applies.  Tier counters, when
-    enabled, attribute the vectorized elements to each row's
-    ``closed_form`` tier by channel (a single schedule is its own only
-    row); the scalar fallback counts its own dispatches.
+    fall back to scalar ``next_arrival`` element by element, which
+    answers them by bisection.  Tier counters, when enabled, attribute
+    the vectorized elements to each row's ``closed_form`` tier by
+    channel (a single schedule is its own only row); the scalar
+    fallback counts its own dispatches.
 
     Shared verbatim by :class:`BroadcastSchedule` and
     :class:`BroadcastProgram` through the channel surface both expose.
@@ -98,22 +87,12 @@ def _next_arrival_batch(
 class BroadcastSchedule:
     """An immutable periodic broadcast program."""
 
-    def __init__(
-        self,
-        slots: Sequence[int],
-        label: str = "",
-        *,
-        wait_table_budget: int = DEFAULT_WAIT_TABLE_BUDGET,
-    ):
+    def __init__(self, slots: Sequence[int], label: str = ""):
         slots = [int(s) for s in slots]
         if not slots:
             raise ScheduleError("a broadcast schedule needs at least one slot")
         if any(s < 0 and s != EMPTY_SLOT for s in slots):
             raise ScheduleError("slots must hold page ids >= 0 or EMPTY_SLOT")
-        if wait_table_budget < 0:
-            raise ScheduleError(
-                f"wait_table_budget must be >= 0 bytes, got {wait_table_budget}"
-            )
         self._slots: Tuple[int, ...] = tuple(slots)
         self.label = label
         # Collect occurrence lists as plain python lists, then freeze
@@ -129,14 +108,10 @@ class BroadcastSchedule:
             for page, indices in collected.items()
         }
         # Lazily-built timing structures (see docs/PERFORMANCE.md):
-        # per-page (residue, gap) pairs for fixed-gap pages, per-page
-        # wait tables under a byte budget for irregular ones, plus the
-        # sorted index of non-empty slot offsets the channel scans with.
-        self._wait_table_budget = int(wait_table_budget)
-        self._wait_table_bytes = 0
+        # per-page (residue, gap) pairs for fixed-gap pages (None for
+        # irregular ones), plus the sorted index of non-empty slot
+        # offsets the channel scans with.
         self._fixed_gaps: Dict[int, Optional[Tuple[int, int]]] = {}
-        self._wait_tables: Dict[int, np.ndarray] = {}
-        self._wait_tables_declined: Set[int] = set()
         self._nonempty_slots: Optional[np.ndarray] = None
         self._regular_timing: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._channel_array: Optional[np.ndarray] = None
@@ -257,18 +232,15 @@ class BroadcastSchedule:
         Completions are the integers ``c`` with slot ``(c-1) % period``
         carrying ``page``; the first one strictly after ``time`` is at
         ``base = floor(time) + 1`` plus a wait that depends only on the
-        slot ``base`` starts in.  Three precomputed forms answer it, in
-        order of preference:
+        slot ``base`` starts in.  Two tiers answer it:
 
         1. fixed-gap pages (:meth:`fixed_gap`): ``(residue - base) %
            gap`` — O(1) integer arithmetic, no memory;
-        2. irregular pages with a wait table (:meth:`wait_table`): one
-           integer index;
-        3. pages the table budget declined:
-           :meth:`next_arrival_bisect`, the original bisection.
+        2. irregular pages: :meth:`next_arrival_bisect`, the bisection
+           into the page's occurrences.
 
-        All three return the exact same instant (asserted by the
-        hypothesis property tests).
+        Both return the exact same instant (asserted against brute-force
+        enumeration by the hypothesis property tests).
         """
         queries = self._tier_queries
         entry = self._fixed_gaps.get(page)
@@ -280,17 +252,9 @@ class BroadcastSchedule:
             residue, gap = entry
             base = math.floor(time) + 1
             return float(base + (residue - base) % gap)
-        table = self._wait_tables.get(page)
-        if table is None:
-            table = self.wait_table(page)
-            if table is None:
-                if queries is not None:
-                    queries["bisect"] += 1
-                return self.next_arrival_bisect(page, time)
         if queries is not None:
-            queries["wait_table"] += 1
-        base = math.floor(time) + 1
-        return float(base + table[(base - 1) % len(self._slots)])
+            queries["bisect"] += 1
+        return self.next_arrival_bisect(page, time)
 
     def fixed_gap(self, page: int) -> Optional[Tuple[int, int]]:
         """``(residue, gap)`` when ``page`` has a fixed inter-arrival gap.
@@ -302,7 +266,7 @@ class BroadcastSchedule:
         next one after any instant ``t`` is
         ``base + (residue - base) % g`` with ``base = floor(t) + 1``.
         Returns ``None`` for pages with irregular spacing (those use
-        the wait table or the bisection).  Cached after the first call.
+        the bisection).  Cached after the first call.
         """
         entry = self._fixed_gaps.get(page)
         if entry is None and page not in self._fixed_gaps:
@@ -325,10 +289,10 @@ class BroadcastSchedule:
     def next_arrival_bisect(self, page: int, time: float) -> float:
         """Reference :meth:`next_arrival`: bisection into the occurrences.
 
-        This is the pre-table implementation, kept verbatim as (a) the
-        fallback when the wait-table budget is exhausted and (b) the
-        golden model the property tests and ``benchmarks/bench_engine.py``
-        compare the table arithmetic against.
+        The original implementation, kept verbatim as (a) the tier that
+        answers irregular pages and (b) the golden model the property
+        tests and ``benchmarks/bench_engine.py`` compare the closed form
+        against.
         """
         occ = self.occurrences(page)
         cycle, phase = divmod(time, self.period)
@@ -344,40 +308,6 @@ class BroadcastSchedule:
                 return base + float(occ[index]) + 1.0
         return base + self.period + float(occ[0]) + 1.0
 
-    def wait_table(self, page: int) -> Optional[np.ndarray]:
-        """The page's wait table, built on first use; None if over budget.
-
-        Entry ``w[s]`` is the number of slots from slot ``s`` to the
-        next occurrence of ``page`` at or after ``s``, cyclically, so
-        ``next_arrival(page, t) == floor(t) + 1 + w[floor(t) % period]``.
-        The table is an immutable int64 array costing ``8 * period``
-        bytes, charged against the schedule's ``wait_table_budget``;
-        once the budget is exhausted further pages are declined
-        permanently and keep using the bisection path.
-        """
-        table = self._wait_tables.get(page)
-        if table is not None:
-            return table
-        if page in self._wait_tables_declined:
-            return None
-        occ = self.occurrences(page)
-        cost = 8 * self.period
-        if self._wait_table_bytes + cost > self._wait_table_budget:
-            self._wait_tables_declined.add(page)
-            return None
-        slots = np.arange(self.period, dtype=np.int64)
-        bounds = np.concatenate([occ, occ[:1] + self.period])
-        table = bounds[np.searchsorted(occ, slots, side="left")] - slots
-        table.flags.writeable = False
-        self._wait_tables[page] = table
-        self._wait_table_bytes += cost
-        return table
-
-    @property
-    def wait_table_budget(self) -> int:
-        """Byte budget for lazily-built wait tables on this schedule."""
-        return self._wait_table_budget
-
     def enable_timing_counters(self) -> None:
         """Start counting :meth:`next_arrival` queries per timing tier.
 
@@ -389,14 +319,12 @@ class BroadcastSchedule:
         counted; the counters attribute dispatched queries only.
         """
         if self._tier_queries is None:
-            self._tier_queries = {
-                "closed_form": 0, "wait_table": 0, "bisect": 0,
-            }
+            self._tier_queries = {"closed_form": 0, "bisect": 0}
 
     def timing_queries(self) -> Dict[str, int]:
         """Per-tier ``next_arrival`` query counts (zeros when disabled)."""
         if self._tier_queries is None:
-            return {"closed_form": 0, "wait_table": 0, "bisect": 0}
+            return {"closed_form": 0, "bisect": 0}
         return dict(self._tier_queries)
 
     def timing_stats(self) -> Dict[str, object]:
@@ -411,10 +339,6 @@ class BroadcastSchedule:
         """
         return {
             "fixed_gap_entries": len(self._fixed_gaps),
-            "wait_tables": len(self._wait_tables),
-            "wait_table_bytes": self._wait_table_bytes,
-            "wait_table_budget": self._wait_table_budget,
-            "wait_tables_declined": len(self._wait_tables_declined),
             "nonempty_index_built": int(self._nonempty_slots is not None),
             "queries": self.timing_queries(),
         }
@@ -822,7 +746,7 @@ class BroadcastProgram:
             row.enable_timing_counters()
 
     def timing_queries(self) -> Dict[str, int]:
-        totals = {"closed_form": 0, "wait_table": 0, "bisect": 0}
+        totals = {"closed_form": 0, "bisect": 0}
         for row in self._channels:
             for tier, count in row.timing_queries().items():
                 totals[tier] += count
@@ -832,10 +756,6 @@ class BroadcastProgram:
         """Aggregate of the per-row :meth:`BroadcastSchedule.timing_stats`."""
         stats: Dict[str, object] = {
             "fixed_gap_entries": 0,
-            "wait_tables": 0,
-            "wait_table_bytes": 0,
-            "wait_table_budget": 0,
-            "wait_tables_declined": 0,
             "nonempty_index_built": 0,
         }
         for row in self._channels:

@@ -15,9 +15,9 @@ sharing them across runs cannot perturb results; the equivalence is
 asserted by ``tests/test_exec_plan.py``.
 
 Because the schedule object itself is shared, its lazily-built timing
-structures — the fixed-gap entries, wait tables, and non-empty-slot
-index of ``docs/PERFORMANCE.md`` — are built once per broadcast
-structure and reused by every sweep point that shares it.
+structures — the fixed-gap entries and the non-empty-slot index of
+``docs/PERFORMANCE.md`` — are built once per broadcast structure and
+reused by every sweep point that shares it.
 :meth:`BuildCache.timing_stats` exposes their occupancy so tests (and
 the curious) can assert the reuse actually happens.
 """
@@ -107,18 +107,12 @@ class BuildCache:
         totals: Dict[str, object] = {
             "schedules": len(self._built),
             "fixed_gap_entries": 0,
-            "wait_tables": 0,
-            "wait_table_bytes": 0,
-            "wait_tables_declined": 0,
             "nonempty_indexes_built": 0,
         }
-        queries = {"closed_form": 0, "wait_table": 0, "bisect": 0}
+        queries = {"closed_form": 0, "bisect": 0}
         for _layout, schedule in self._built.values():
             stats = schedule.timing_stats()
             totals["fixed_gap_entries"] += stats["fixed_gap_entries"]
-            totals["wait_tables"] += stats["wait_tables"]
-            totals["wait_table_bytes"] += stats["wait_table_bytes"]
-            totals["wait_tables_declined"] += stats["wait_tables_declined"]
             totals["nonempty_indexes_built"] += stats["nonempty_index_built"]
             for tier, count in stats["queries"].items():
                 queries[tier] += count

@@ -20,15 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from repro.errors import ConfigurationError  # noqa: F401 - re-exported
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engines import get_plan_engine, plan_engine_names
-
-#: Engines an executor knows how to drive (registry view; see
-#: :mod:`repro.experiments.engines` for the authoritative table).
-ENGINES: Tuple[str, ...] = plan_engine_names()
+from repro.experiments.engines import get_engine
 
 #: Seed-derivation stride — the same constant
 #: :meth:`repro.sim.rng.RandomStreams.fork` uses, so plan seeds and
@@ -57,7 +53,7 @@ class RunPlan:
     index: int = 0
 
     def __post_init__(self):
-        get_plan_engine(self.engine)  # rejects unknown/non-plan engines
+        get_engine(self.engine)  # rejects unknown engines
 
     @property
     def seed(self) -> int:

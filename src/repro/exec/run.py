@@ -22,7 +22,7 @@ from repro.errors import ConfigurationError
 from repro.exec.build import BuildCache
 from repro.exec.plan import RunPlan
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engines import get_plan_engine
+from repro.experiments.engines import get_engine
 from repro.obs.clock import perf_counter
 from repro.obs.monitor import MonitorContext
 from repro.obs.trace import Tracer
@@ -176,7 +176,7 @@ def execute_plan(
         profile.start_phase("run")
 
     try:
-        outcome = get_plan_engine(plan.engine).run_plan(
+        outcome = get_engine(plan.engine).run_plan(
             plan,
             config=config,
             schedule=schedule,

@@ -30,7 +30,7 @@ from repro.core.disks import DiskLayout
 from repro.core.programs import _multidisk_program
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engines import plan_engine_names
+from repro.experiments.engines import engine_names
 from repro.experiments.reporting import format_table, write_csv
 from repro.experiments.runner import run_experiment
 from repro.errors import ReproError
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes per sweep (results identical at any count)",
     )
     figures_cmd.add_argument(
-        "--engine", default="fast", choices=list(plan_engine_names()),
+        "--engine", default="fast", choices=list(engine_names()),
         help="simulation engine for the paper-figure sweeps",
     )
     figures_cmd.add_argument(
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--theta", type=float, default=0.95)
     run_cmd.add_argument("--seed", type=int, default=42)
     run_cmd.add_argument("--engine", default="fast",
-                         choices=list(plan_engine_names()))
+                         choices=list(engine_names()))
     run_cmd.add_argument(
         "--profile", action="store_true",
         help="print the run's profile (phase timings, engine counters, "
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     population_cmd.add_argument("--seed", type=int, default=None,
                                 help="override the spec's seed")
     population_cmd.add_argument(
-        "--engine", default=None, choices=list(plan_engine_names()),
+        "--engine", default=None, choices=list(engine_names()),
         help="override the spec's engine",
     )
     population_cmd.add_argument("--manifest", default=None,

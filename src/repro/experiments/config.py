@@ -13,6 +13,7 @@ D4⟨300,1200,3500⟩, D5⟨500,2000,2500⟩.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
@@ -104,10 +105,15 @@ class ExperimentConfig:
                 f"cache_size must be >= 1 (1 means no caching), "
                 f"got {self.cache_size}"
             )
-        if self.think_time < 0:
-            raise ConfigurationError(
-                f"think_time must be >= 0, got {self.think_time}"
-            )
+        # NaN and infinities slip past a bare ``< 0`` check and only
+        # crash later, deep inside an engine's integer arithmetic.
+        for name in ("think_time", "steady_state_factor", "drift_rotations",
+                     "retune_cost"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
         if self.num_requests < 1:
             raise ConfigurationError(
                 f"num_requests must be >= 1, got {self.num_requests}"
@@ -123,22 +129,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"offset must be in [0, {self.server_db_size}], got {self.offset}"
             )
-        if self.steady_state_factor < 0:
-            raise ConfigurationError(
-                f"steady_state_factor must be >= 0, got {self.steady_state_factor}"
-            )
-        if self.drift_rotations < 0:
-            raise ConfigurationError(
-                f"drift_rotations must be >= 0, got {self.drift_rotations}"
-            )
         if not 1 <= self.channels <= self.server_db_size:
             raise ConfigurationError(
                 f"channels must be in [1, {self.server_db_size}], "
                 f"got {self.channels}"
-            )
-        if self.retune_cost < 0:
-            raise ConfigurationError(
-                f"retune_cost must be >= 0, got {self.retune_cost}"
             )
 
     # -- derived quantities -------------------------------------------------

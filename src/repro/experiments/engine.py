@@ -21,8 +21,8 @@ The inner loop is written to be allocation-free (see
   fixed-gap pair (:meth:`repro.core.schedule.BroadcastSchedule.
   fixed_gap`), its channel and its disk — sits in one per-run dict
   entry, so a miss costs one dict probe and two integer ops, with a
-  transparent fallback to ``next_arrival`` (wait table or bisection)
-  for irregular pages;
+  transparent fallback to ``next_arrival`` (bisection) for irregular
+  pages;
 * the loop is independent of the channel count: a single schedule is
   a one-row program whose pages all sit on channel 0, so its tuner
   never switches;
@@ -32,7 +32,9 @@ The inner loop is written to be allocation-free (see
   (:meth:`FastEngine.run_trace_reference`) is that loop with
   :meth:`~repro.core.schedule.BroadcastSchedule.next_arrival_bisect`
   arithmetic, which the perf gate and the equivalence tests compare
-  against.
+  against.  The reference is not a registered engine: it is reachable
+  as :data:`repro.experiments.engines.REFERENCE_ENGINE`, which the
+  benchmark and smoke scripts register in their own process.
 
 The engine is semantically identical to the process-oriented engine in
 :mod:`repro.experiments.simengine` — the test suite feeds both the same
@@ -47,6 +49,7 @@ beginning our measurements only after the cache was full"), after which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -103,11 +106,13 @@ class FastEngine:
         *,
         retune_cost: float = 1.0,
     ):
-        if think_time < 0:
-            raise ConfigurationError(f"think_time must be >= 0, got {think_time}")
-        if retune_cost < 0:
+        if not (math.isfinite(think_time) and think_time >= 0):
             raise ConfigurationError(
-                f"retune_cost must be >= 0, got {retune_cost}"
+                f"think_time must be finite and >= 0, got {think_time}"
+            )
+        if not (math.isfinite(retune_cost) and retune_cost >= 0):
+            raise ConfigurationError(
+                f"retune_cost must be finite and >= 0, got {retune_cost}"
             )
         self.schedule = schedule
         self.retune_cost = retune_cost
@@ -281,8 +286,8 @@ class FastEngine:
         The §2.1 fixed-inter-arrival property in closed form: the next
         completion after ``t`` is ``base + (residue - base) % gap`` with
         ``base = floor(t) + 1``.  A gap of ``0`` marks an irregular page,
-        which goes through ``schedule.next_arrival`` (wait table or
-        bisection).  The channel drives the tuner and the disk the miss
+        which goes through ``schedule.next_arrival`` (bisection).  The
+        channel drives the tuner and the disk the miss
         counters' attribution; neither changes over a run.
         """
         schedule = self.schedule
@@ -306,8 +311,9 @@ class FastEngine:
         from :meth:`~repro.core.schedule.BroadcastSchedule.
         next_arrival_bisect`.  ``benchmarks/bench_engine.py`` and the
         equivalence tests run this against :meth:`run_trace` and demand
-        byte-identical measurements; it is registered as the
-        ``fast-reference`` engine for plan-level comparisons.
+        byte-identical measurements; plan-level comparisons run it
+        through the unregistered
+        :data:`~repro.experiments.engines.REFERENCE_ENGINE` spec.
         """
         tracer = self.tracer
         if tracer is not None and not tracer.enabled:

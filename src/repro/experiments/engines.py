@@ -8,21 +8,21 @@ registered :class:`EngineSpec` entries, so
 * validation happens in one place and every rejection lists the valid
   names (``ConfigurationError``);
 * the plan layer dispatches through the spec's ``run_plan`` callable
-  instead of string-matching;
-* engines that do *not* execute :class:`~repro.exec.plan.RunPlan`
-  objects — the hybrid push/pull channel and the multi-page query
-  studies — are registered alongside, so ``get_engine("hybrid")``
-  resolves to its study entry point rather than failing as a typo.
+  instead of string-matching.
 
-The four built-ins register at import time; extensions call
-:func:`register_engine` with their own spec.
+The three built-in plan engines (``batch``, ``fast``, ``process``)
+register at import time; extensions call :func:`register_engine` with
+their own spec.  :data:`REFERENCE_ENGINE` — the fast engine's reference
+loop on bisection arithmetic, the oracle of the byte-identity perf
+gate — is deliberately *not* registered: the benchmark and smoke
+scripts that run it as a plan engine register it in their own process,
+and tests call its ``run_plan`` directly.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -31,28 +31,14 @@ from repro.errors import ConfigurationError
 class EngineSpec:
     """One registered simulation engine.
 
-    ``run_plan`` is the executor-side entry point for plan-capable
-    engines: it receives the plan plus the pre-built components and
-    returns an :class:`~repro.experiments.engine.EngineOutcome`.
-    Study engines leave it ``None`` and carry a ``study`` entry point
-    (``"module:callable"``) instead.
+    ``run_plan`` is the executor-side entry point: it receives the plan
+    plus the pre-built components and returns an
+    :class:`~repro.experiments.engine.EngineOutcome`.
     """
 
     name: str
     summary: str
-    executes_plans: bool
-    run_plan: Optional[Callable] = field(default=None, compare=False)
-    study: Optional[str] = None
-
-    def resolve_study(self) -> Callable:
-        """Import and return the study entry point for a study engine."""
-        if self.study is None:
-            raise ConfigurationError(
-                f"engine {self.name!r} has no study entry point"
-            )
-        module_name, _, attribute = self.study.partition(":")
-        module = importlib.import_module(module_name)
-        return getattr(module, attribute)
+    run_plan: Callable = field(compare=False)
 
 
 _REGISTRY: Dict[str, EngineSpec] = {}
@@ -64,10 +50,6 @@ def register_engine(spec: EngineSpec) -> EngineSpec:
         raise ConfigurationError(
             f"engine {spec.name!r} is already registered"
         )
-    if spec.executes_plans and spec.run_plan is None:
-        raise ConfigurationError(
-            f"plan engine {spec.name!r} needs a run_plan callable"
-        )
     _REGISTRY[spec.name] = spec
     return spec
 
@@ -77,14 +59,6 @@ def engine_names() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def plan_engine_names() -> Tuple[str, ...]:
-    """Names of the engines that can execute a RunPlan, sorted."""
-    return tuple(
-        sorted(name for name, spec in _REGISTRY.items()
-               if spec.executes_plans)
-    )
-
-
 def get_engine(name: str) -> EngineSpec:
     """The spec registered under ``name``; unknown names list the valid set."""
     spec = _REGISTRY.get(name)
@@ -92,18 +66,6 @@ def get_engine(name: str) -> EngineSpec:
         raise ConfigurationError(
             f"unknown engine {name!r}; valid engines: "
             f"{', '.join(engine_names())}"
-        )
-    return spec
-
-
-def get_plan_engine(name: str) -> EngineSpec:
-    """Like :func:`get_engine`, but the engine must execute RunPlans."""
-    spec = get_engine(name)
-    if not spec.executes_plans:
-        raise ConfigurationError(
-            f"engine {name!r} does not execute RunPlans (it is a study "
-            f"engine: {spec.study}); plan-capable engines: "
-            f"{', '.join(plan_engine_names())}"
         )
     return spec
 
@@ -148,8 +110,8 @@ def _run_plan_fast_reference(plan, *, config, schedule, mapping, layout,
     Same engine object as ``fast`` but through
     :meth:`~repro.experiments.engine.FastEngine.run_trace_reference`:
     the general per-request loop with bisection arithmetic.
-    ``benchmarks/bench_engine.py`` runs it as the baseline arm of the
-    byte-identity perf gate.
+    ``benchmarks/bench_engine.py`` runs it (as :data:`REFERENCE_ENGINE`)
+    as the baseline arm of the byte-identity perf gate.
     """
     from repro.experiments.engine import FastEngine
 
@@ -249,21 +211,12 @@ def _run_plan_batch(plan, *, config, schedule, mapping, layout, cache,
 register_engine(EngineSpec(
     name="fast",
     summary="analytic-stepping single-client engine (full-scale sweeps)",
-    executes_plans=True,
     run_plan=_run_plan_fast,
-))
-
-register_engine(EngineSpec(
-    name="fast-reference",
-    summary="general fast loop on bisection arithmetic (perf-gate baseline)",
-    executes_plans=True,
-    run_plan=_run_plan_fast_reference,
 ))
 
 register_engine(EngineSpec(
     name="process",
     summary="process-oriented discrete-event engine (CSIM substitute)",
-    executes_plans=True,
     run_plan=_run_plan_process,
 ))
 
@@ -271,27 +224,16 @@ register_engine(EngineSpec(
     name="batch",
     summary="columnar lockstep engine (fleet-scale batches; "
             "single plans byte-match fast)",
-    executes_plans=True,
     run_plan=_run_plan_batch,
 ))
 
-register_engine(EngineSpec(
-    name="hybrid",
-    summary="hybrid push/pull channel population study",
-    executes_plans=False,
-    study="repro.hybrid.study:hybrid_population_study",
-))
-
-register_engine(EngineSpec(
-    name="query",
-    summary="multi-page retrieval (sequential vs opportunistic) study",
-    executes_plans=False,
-    study="repro.experiments.figures:query_study",
-))
-
-register_engine(EngineSpec(
-    name="multichannel",
-    summary="C-channel bandwidth split with single-frequency tuner study",
-    executes_plans=False,
-    study="repro.experiments.figures:multichannel_study",
-))
+#: The fast engine's reference loop as a plan engine — the oracle the
+#: perf gate and the identity smokes compare ``fast`` against.  Not
+#: registered: a process that wants it selectable by name (the
+#: ``"fast-reference"`` arm of ``benchmarks/bench_engine.py``) calls
+#: ``register_engine(REFERENCE_ENGINE)`` itself.
+REFERENCE_ENGINE = EngineSpec(
+    name="fast-reference",
+    summary="general fast loop on bisection arithmetic (perf-gate oracle)",
+    run_plan=_run_plan_fast_reference,
+)

@@ -352,9 +352,7 @@ def _print_manifest(document: Dict) -> None:
     build_cache = document.get("build_cache")
     if build_cache is not None:
         print("\nbuild cache")
-        print(f"  schedules built : {build_cache.get('schedules', 0)}  "
-              f"wait tables : {build_cache.get('wait_tables', 0)} "
-              f"({build_cache.get('wait_table_bytes', 0)} bytes)")
+        print(f"  schedules built : {build_cache.get('schedules', 0)}")
         queries = build_cache.get("queries", {})
         if any(queries.values()):
             print("  timing-tier queries:")

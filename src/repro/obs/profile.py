@@ -4,7 +4,7 @@ A :class:`Profiler` is the run-shaped container the ``--profile`` flag
 fills: per-phase wall time (build / run / aggregate, measured through
 the RL001-allowlisted :mod:`repro.obs.clock` shim), engine loop and
 event counters, and the :class:`~repro.core.schedule.BroadcastSchedule`
-timing-tier query counts (closed-form / wait-table / bisection — see
+timing-tier query counts (closed-form / bisection — see
 ``docs/PERFORMANCE.md``).
 
 The contract mirrors the trace bus: hook sites guard with
@@ -30,11 +30,11 @@ from repro.errors import ConfigurationError
 from repro.obs.clock import perf_counter
 
 #: Schema tag of the profile snapshot embedded in manifests.
-PROFILE_SCHEMA = "repro.obs.profile/1"
+PROFILE_SCHEMA = "repro.obs.profile/2"
 
-#: The three timing tiers of ``BroadcastSchedule.next_arrival``, in
+#: The two timing tiers of ``BroadcastSchedule.next_arrival``, in
 #: preference order (see ``docs/PERFORMANCE.md``).
-TIER_NAMES = ("closed_form", "wait_table", "bisect")
+TIER_NAMES = ("closed_form", "bisect")
 
 
 class Profiler:
@@ -56,7 +56,7 @@ class Profiler:
         self.counters: Dict[str, int] = {}
         #: Timing-tier query counts, accumulated from schedule deltas.
         self.tiers: Dict[str, int] = {name: 0 for name in TIER_NAMES}
-        #: High-water marks (event-heap depth, table bytes).
+        #: High-water marks (event-heap depth).
         self.peaks: Dict[str, int] = {}
         self._running: Dict[str, float] = {}
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.errors import ConfigurationError
 from repro.exec.plan import RunPlan, derive_seed
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engines import get_plan_engine
+from repro.experiments.engines import get_engine
 from repro.sim.rng import RandomStreams
 
 #: The client-side knobs a segment may distribute, in the (fixed,
@@ -259,7 +259,7 @@ class PopulationSpec:
                 f"population {self.name!r} has duplicate segment names: "
                 f"{', '.join(sorted(set(n for n in names if names.count(n) > 1)))}"
             )
-        get_plan_engine(self.engine)  # rejects unknown/non-plan engines
+        get_engine(self.engine)  # rejects unknown engines
 
     @property
     def num_clients(self) -> int:

@@ -6,9 +6,10 @@ Three protections for the 1.1 consolidation:
   keyword-only contract on the public entry points, so an accidental
   signature regression (an option drifting back to positional) fails
   here before it reaches a caller;
-* the one-release positional shim: deprecated positional options still
-  work, warn, and reject ambiguous keyword+positional mixes;
-* the engine registry: every rejection names the valid engines.
+* positional options: the one-release 1.1 shim is gone (1.4), so a
+  positional option is a ``TypeError``;
+* the engine registry: exactly the three plan engines, and every
+  rejection names the valid engines.
 """
 
 import inspect
@@ -20,11 +21,10 @@ import repro
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engines import (
+    REFERENCE_ENGINE,
     EngineSpec,
     engine_names,
     get_engine,
-    get_plan_engine,
-    plan_engine_names,
     register_engine,
 )
 from repro.experiments.runner import run_experiment, sweep, sweep_results
@@ -94,7 +94,7 @@ class TestExportSnapshot:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.3.0"
+        assert repro.__version__ == "1.4.0"
 
 
 class TestKeywordOnlyContract:
@@ -116,21 +116,22 @@ class TestKeywordOnlyContract:
                     f"{name}({parameter.name}=...) must be keyword-only"
                 )
 
-    def test_shimmed_functions_accept_varargs(self):
-        # The one-release shim: a VAR_POSITIONAL slot catches legacy
-        # positional options.  run_population is new in 1.1 and never
-        # had positional options, so it carries no shim.
-        for name in ("run_experiment", "sweep", "sweep_results"):
+    def test_positional_options_raise_type_error(self):
+        # The 1.1 positional shim was removed in 1.4: no entry point
+        # has a VAR_POSITIONAL slot, so a positional option is a
+        # TypeError rather than a deprecation warning.
+        for name, function in sorted(self.ENTRY_POINTS.items()):
             kinds = {
                 p.kind for p in
-                inspect.signature(self.ENTRY_POINTS[name]).parameters.values()
+                inspect.signature(function).parameters.values()
             }
-            assert inspect.Parameter.VAR_POSITIONAL in kinds, name
-        population_kinds = {
-            p.kind for p in
-            inspect.signature(run_population).parameters.values()
-        }
-        assert inspect.Parameter.VAR_POSITIONAL not in population_kinds
+            assert inspect.Parameter.VAR_POSITIONAL not in kinds, name
+        # run_experiment's positional calls: see TestDeprecationShim.
+        configs = [small_config()]
+        with pytest.raises(TypeError, match="positional"):
+            sweep(configs, lambda result: result.hit_rate)
+        with pytest.raises(TypeError, match="positional"):
+            sweep_results(configs, "fast")
 
     def test_run_population_option_names(self):
         signature = inspect.signature(run_population)
@@ -146,42 +147,16 @@ class TestKeywordOnlyContract:
 
 
 class TestDeprecationShim:
-    def test_positional_engine_warns_and_maps(self):
-        config = small_config()
-        with pytest.warns(DeprecationWarning, match="keyword-only"):
-            legacy = run_experiment(config, "fast", True)
-        assert legacy.samples is not None  # collect_responses mapped
-        modern = run_experiment(config, engine="fast", collect_responses=True)
-        assert legacy.mean_response_time == modern.mean_response_time
-        assert legacy.samples == modern.samples
+    """The 1.1 positional shim (removed in 1.4): positionals are errors."""
 
     def test_positional_plus_keyword_conflict(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values.*'engine'"):
-                run_experiment(small_config(), "fast", engine="process")
+        with pytest.raises(TypeError, match="positional"):
+            run_experiment(small_config(), "fast", engine="process")
 
     def test_too_many_positionals(self):
-        with pytest.raises(TypeError, match="at most 5 option arguments"):
+        with pytest.raises(TypeError, match="positional"):
             run_experiment(small_config(), "fast", False, None, None,
                            None, "extra")
-
-    def test_sweep_positional_metric_warns_and_maps(self):
-        configs = [small_config(), small_config(delta=7)]
-
-        def metric(result):
-            return result.hit_rate
-
-        with pytest.warns(DeprecationWarning, match="sweep"):
-            legacy = sweep(configs, metric)
-        assert legacy == sweep(configs, metric=metric)
-
-    def test_sweep_results_positional_engine_warns(self):
-        configs = [small_config()]
-        with pytest.warns(DeprecationWarning, match="sweep_results"):
-            legacy = sweep_results(configs, "fast")
-        modern = sweep_results(configs, engine="fast")
-        assert [r.mean_response_time for r in legacy] == \
-            [r.mean_response_time for r in modern]
 
     def test_keyword_calls_do_not_warn(self):
         with warnings.catch_warnings():
@@ -189,8 +164,8 @@ class TestDeprecationShim:
             run_experiment(small_config(), engine="fast")
 
     def test_multichannel_internal_path_does_not_warn(self):
-        # The channels > 1 pipeline must route through the internal
-        # builders, never the deprecated shims.
+        # The channels > 1 pipeline routes through the internal
+        # builders, which never warn.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run_experiment(small_config(channels=2), engine="fast")
@@ -259,8 +234,10 @@ class TestChannelOptionsSurface:
         assert config.retune_cost == 1.0
 
     def test_plan_engines_accept_channel_kwargs(self):
-        for name in plan_engine_names():
-            run_plan = get_plan_engine(name).run_plan
+        for spec in [get_engine(name) for name in engine_names()] + [
+            REFERENCE_ENGINE
+        ]:
+            name, run_plan = spec.name, spec.run_plan
             parameters = inspect.signature(run_plan).parameters
             # The schedule already carries its channel count, so the
             # tuner's retune cost is the only channel option an engine
@@ -285,12 +262,10 @@ class TestChannelOptionsSurface:
 
 class TestEngineRegistry:
     def test_names_include_builtins(self):
-        assert set(engine_names()) >= {
-            "batch", "fast", "fast-reference", "process", "hybrid", "query",
-        }
-        assert plan_engine_names() == (
-            "batch", "fast", "fast-reference", "process"
-        )
+        # Exactly the three plan engines; the reference loop is an
+        # unregistered spec that scripts register in their own process.
+        assert engine_names() == ("batch", "fast", "process")
+        assert REFERENCE_ENGINE.name not in engine_names()
 
     def test_unknown_engine_lists_valid_names(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -300,11 +275,14 @@ class TestEngineRegistry:
             assert name in message
 
     def test_study_engine_rejected_for_plans(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            get_plan_engine("hybrid")
-        message = str(excinfo.value)
-        assert "does not execute RunPlans" in message
-        assert "fast" in message and "process" in message
+        # The studies are functions behind ``figures`` artifacts, not
+        # engines: their names are rejected like any unknown engine.
+        for study in ("hybrid", "query", "multichannel"):
+            with pytest.raises(ConfigurationError) as excinfo:
+                run_experiment(small_config(), engine=study)
+            message = str(excinfo.value)
+            assert "valid engines" in message
+            assert "fast" in message and "process" in message
 
     def test_run_experiment_rejects_unknown_engine(self):
         with pytest.raises(ConfigurationError, match="valid engines"):
@@ -315,13 +293,16 @@ class TestEngineRegistry:
             register_engine(EngineSpec(
                 name="fast",
                 summary="an impostor",
-                executes_plans=False,
-                study="repro.experiments.figures:query_study",
+                run_plan=REFERENCE_ENGINE.run_plan,
             ))
 
     def test_reregistering_identical_spec_is_idempotent(self):
-        spec = get_engine("hybrid")
+        spec = get_engine("fast")
         assert register_engine(spec) is spec
 
     def test_study_engine_resolves_callable(self):
-        assert callable(get_engine("query").resolve_study())
+        # The former study engines stay reachable as figure artifacts.
+        from repro.experiments.cli import ARTIFACTS
+
+        for study in ("hybrid", "query", "multichannel"):
+            assert callable(ARTIFACTS[study][0]), study

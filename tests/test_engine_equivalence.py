@@ -18,10 +18,10 @@ from repro.core.schedule import BroadcastSchedule
 from repro.exec import execute_plan, plan_for
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import FastEngine
-from repro.experiments.runner import _warmup_trace_allowance, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.simengine import run_single_client
 from repro.workload.mapping import LogicalPhysicalMapping
-from repro.workload.trace import RequestTrace, generate_trace
+from repro.workload.trace import RequestTrace
 
 
 def small_config(**overrides):
@@ -93,20 +93,19 @@ class TestEngineEquivalence:
 
 # Irregular spacing for every page (no count divides the period
 # evenly in an arithmetic progression), so the fast engine's fixed-gap
-# shortcut declines and misses go through the wait tables — the path
-# §2.2 programs never reach.
+# shortcut declines and misses go through the bisection tier — the
+# path §2.2 programs never reach.
 IRREGULAR_SLOTS = [
     0, 1, 0, 2, 0, EMPTY_SLOT, 1, 3, 2, 0, 3, EMPTY_SLOT, 1, 2,
 ]
 
 
 class TestOptimizedPathCrossValidation:
-    """ISSUE 5: the optimized timing paths vs the process engine."""
+    """The optimized timing paths vs the process engine."""
 
-    def _run_both(self, *, wait_table_budget):
-        schedule = BroadcastSchedule(
-            IRREGULAR_SLOTS, wait_table_budget=wait_table_budget
-        )
+    def test_bisection_vs_process_engine(self):
+        schedule = BroadcastSchedule(IRREGULAR_SLOTS)
+        schedule.enable_timing_counters()
         layout = DiskLayout.flat(4)
         rng = random.Random(3)
         trace = RequestTrace.from_pages(
@@ -120,9 +119,7 @@ class TestOptimizedPathCrossValidation:
             think_time=0.7,
         ).run_trace(trace, collect_responses=True)
         process = run_single_client(
-            schedule=BroadcastSchedule(
-                IRREGULAR_SLOTS, wait_table_budget=wait_table_budget
-            ),
+            schedule=BroadcastSchedule(IRREGULAR_SLOTS),
             layout=layout,
             mapping=LogicalPhysicalMapping(layout),
             cache=LRUPolicy(2, PolicyContext()),
@@ -130,61 +127,25 @@ class TestOptimizedPathCrossValidation:
             think_time=0.7,
             collect_responses=True,
         )
-        return schedule, fast, process
-
-    def test_wait_tables_vs_process_engine(self):
-        schedule, fast, process = self._run_both(
-            wait_table_budget=64 * 1024
-        )
         assert fast.samples == process.samples
         assert fast.counters.hits == process.counters.hits
         assert fast.final_time == process.final_time
-        stats = schedule.timing_stats()
-        # The fast run really did take the wait-table path.
-        assert stats["wait_tables"] == 4
+        # The fast run really did take the bisection tier, for every
+        # miss (warm-up misses are queried too, but not counted).
         assert all(
             schedule.fixed_gap(page) is None for page in schedule.pages
         )
+        queries = schedule.timing_queries()
+        assert queries["closed_form"] == 0
+        assert queries["bisect"] >= fast.counters.misses > 0
 
-    def test_memory_budget_fallback_vs_process_engine(self):
-        schedule, fast, process = self._run_both(wait_table_budget=0)
-        assert fast.samples == process.samples
-        assert fast.counters.hits == process.counters.hits
-        stats = schedule.timing_stats()
-        # Over budget: every page declined, bisection served the run.
-        assert stats["wait_tables"] == 0
-        assert stats["wait_tables_declined"] == 4
-
-    def test_budget_does_not_change_measurements(self):
-        _schedule, tabled, _ = self._run_both(wait_table_budget=64 * 1024)
-        _schedule, declined, _ = self._run_both(wait_table_budget=0)
-        assert tabled.samples == declined.samples
-        assert tabled.final_time == declined.final_time
-
-    def test_fast_reference_plan_engine_agrees(self):
+    def test_fast_reference_plan_engine_agrees(self, run_reference):
         config = small_config(num_requests=300)
         fast = execute_plan(plan_for(config, collect_responses=True))
-        reference = execute_plan(
-            plan_for(config, engine="fast-reference", collect_responses=True)
-        )
+        reference = run_reference(config)
         assert fast.samples == reference.samples
-        assert fast.mean_response_time == reference.mean_response_time
-        assert fast.hit_rate == reference.hit_rate
-
-
-def _build_run_inputs(config):
-    layout = config.build_layout()
-    schedule = config.build_schedule(layout)
-    streams = config.build_streams()
-    mapping = config.build_mapping(layout, streams)
-    distribution = config.build_distribution()
-    cache = config.build_policy(schedule, mapping, distribution, layout)
-    trace = generate_trace(
-        distribution,
-        config.num_requests + _warmup_trace_allowance(config),
-        streams.stream("requests"),
-    )
-    return layout, schedule, mapping, cache, trace
+        assert fast.mean_response_time == reference.response.mean
+        assert fast.hit_rate == reference.counters.hit_rate
 
 
 class TestFinalTime:
@@ -194,9 +155,9 @@ class TestFinalTime:
     ``final_time=0.0`` instead of reading the kernel's clock.
     """
 
-    def test_client_report_carries_final_time(self):
+    def test_client_report_carries_final_time(self, run_inputs):
         config = small_config()
-        layout, schedule, mapping, cache, trace = _build_run_inputs(config)
+        layout, schedule, mapping, cache, trace = run_inputs(config)
         report = run_single_client(
             schedule=schedule, layout=layout, mapping=mapping, cache=cache,
             trace=trace, think_time=config.think_time,
@@ -204,9 +165,9 @@ class TestFinalTime:
         )
         assert report.final_time > 0.0
 
-    def test_final_time_matches_fast_engine(self):
+    def test_final_time_matches_fast_engine(self, run_inputs):
         config = small_config()
-        layout, schedule, mapping, cache, trace = _build_run_inputs(config)
+        layout, schedule, mapping, cache, trace = run_inputs(config)
         fast = FastEngine(
             schedule=schedule, mapping=mapping, layout=layout, cache=cache,
             think_time=config.think_time,
@@ -214,7 +175,7 @@ class TestFinalTime:
         fast_outcome = fast.run_trace(
             trace, extra_warmup=config.extra_warmup
         )
-        layout, schedule, mapping, cache, trace = _build_run_inputs(config)
+        layout, schedule, mapping, cache, trace = run_inputs(config)
         report = run_single_client(
             schedule=schedule, layout=layout, mapping=mapping, cache=cache,
             trace=trace, think_time=config.think_time,

@@ -1,5 +1,7 @@
 """Unit tests for ExperimentConfig (repro.experiments.config)."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -74,6 +76,30 @@ class TestValidation:
     def test_offset_bounds(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(offset=5001)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        # NaN passes a bare ``< 0`` check; unchecked, these values crash
+        # deep inside the engines (ValueError/OverflowError on int()).
+        for field in ("think_time", "steady_state_factor",
+                      "drift_rotations"):
+            with pytest.raises(ConfigurationError, match=field):
+                ExperimentConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match="retune_cost"):
+            ExperimentConfig(channels=2, retune_cost=value)
+        # The engines validate their own arguments the same way.
+        from repro.batch.engine import ColumnarEngine
+        from repro.experiments.engine import FastEngine
+
+        for keywords in ({"think_time": value},
+                         {"think_time": 0.0, "retune_cost": value}):
+            name = list(keywords)[-1]
+            # Validation fires before the schedule, mapping or cache is
+            # touched, so placeholders are enough.
+            with pytest.raises(ConfigurationError, match=name):
+                FastEngine(None, None, None, None, **keywords)
+            with pytest.raises(ConfigurationError, match=name):
+                ColumnarEngine(None, None, None, None, 1, **keywords)
 
 
 class TestBuilders:

@@ -163,13 +163,14 @@ class TestProgramConstruction:
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("channels", [2, 4])
-    def test_fast_process_reference_batch_agree(self, channels):
+    def test_fast_process_reference_batch_agree(self, channels,
+                                                run_reference):
         cfg = config(channels=channels)
         results = {
             engine: run_experiment(
                 cfg, engine=engine, collect_responses=True
             )
-            for engine in ("fast", "process", "fast-reference", "batch")
+            for engine in ("fast", "process", "batch")
         }
         baseline = results["fast"]
         assert baseline.retunes > 0
@@ -178,6 +179,10 @@ class TestEngineEquivalence:
             assert result.retunes == baseline.retunes, engine
             assert result.mean_response_time == \
                 baseline.mean_response_time, engine
+        reference = run_reference(cfg)
+        assert reference.samples == baseline.samples
+        assert reference.retunes == baseline.retunes
+        assert reference.response.mean == baseline.mean_response_time
 
     def test_c1_run_matches_legacy_exactly(self):
         implicit = run_experiment(config(), engine="fast",

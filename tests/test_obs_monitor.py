@@ -311,17 +311,26 @@ class TestSerialization:
 class TestRunnerIntegration:
     @pytest.mark.parametrize("engine", ["fast", "fast-reference", "process"])
     def test_strict_monitors_pass_and_preserve_results(
-        self, mini_config, engine
+        self, mini_config, engine, run_reference
     ):
         config = mini_config.with_(num_requests=300)
-        bare = run_experiment(config, engine=engine)
+
+        def run(monitors=None):
+            """(mean response, hit rate) of one run of ``engine``."""
+            if engine == "fast-reference":
+                outcome = run_reference(config, monitors=monitors)
+                return outcome.response.mean, outcome.counters.hit_rate
+            result = run_experiment(config, engine=engine,
+                                    monitors=monitors)
+            return result.mean_response_time, result.hit_rate
+
+        bare = run()
         monitors = MonitorSuite(mode="strict")
-        watched = run_experiment(config, engine=engine, monitors=monitors)
+        watched = run(monitors)
         assert monitors.ok
         assert monitors.runs == 1
         assert monitors.observed > 0
-        assert watched.mean_response_time == bare.mean_response_time
-        assert watched.hit_rate == bare.hit_rate
+        assert watched == bare
 
     def test_monitors_compose_with_caller_tracer(self, mini_config):
         from repro.obs.trace import MemorySink

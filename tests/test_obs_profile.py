@@ -76,10 +76,8 @@ class TestCountersAndPeaks:
     def test_tier_counts_fold_and_total(self):
         profile = Profiler()
         profile.add_tier_counts({"closed_form": 10, "bisect": 2})
-        profile.add_tier_counts({"closed_form": 5, "wait_table": 1})
-        assert profile.tiers == {
-            "closed_form": 15, "wait_table": 1, "bisect": 2,
-        }
+        profile.add_tier_counts({"closed_form": 5, "bisect": 1})
+        assert profile.tiers == {"closed_form": 15, "bisect": 3}
         assert profile.tier_total == 18
 
     def test_snapshot_shape(self):
@@ -87,13 +85,13 @@ class TestCountersAndPeaks:
         profile.add_phase("run", 0.25)
         profile.count("plans", 2)
         profile.peak("heap", 4)
-        profile.add_tier_counts({"wait_table": 7})
+        profile.add_tier_counts({"bisect": 7})
         snapshot = profile.snapshot()
         assert snapshot["schema"] == PROFILE_SCHEMA
         assert snapshot["phase_seconds"] == {"run": 0.25}
         assert snapshot["counters"] == {"plans": 2}
         assert snapshot["peaks"] == {"heap": 4}
-        assert snapshot["tiers"]["wait_table"] == 7
+        assert snapshot["tiers"] == {"closed_form": 0, "bisect": 7}
 
     def test_report_mentions_every_block(self):
         profile = Profiler()
@@ -119,7 +117,6 @@ class TestMetricsBridge:
         assert counters["profile.plans"] == 4
         assert counters["profile.tier.closed_form"] == 9
         assert counters["profile.tier.bisect"] == 1
-        assert counters["profile.tier.wait_table"] == 0
 
 
 class TestRunIntegration:

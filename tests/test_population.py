@@ -186,8 +186,8 @@ class TestExpansion:
             )
         with pytest.raises(ConfigurationError, match="valid engines"):
             small_spec(engine="bogus")
-        with pytest.raises(ConfigurationError, match="plan-capable"):
-            small_spec(engine="hybrid")
+        with pytest.raises(ConfigurationError, match="valid engines"):
+            small_spec(engine="hybrid")  # a study, not a plan engine
 
 
 class TestScaleSpec:

@@ -25,7 +25,7 @@ from repro.core.programs import _multidisk_program
 from repro.core.schedule import BroadcastProgram
 from repro.exec.plan import RunPlan
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engines import get_plan_engine
+from repro.experiments.engines import REFERENCE_ENGINE, get_engine
 from repro.experiments.runner import run_experiment
 from repro.obs.trace import MemorySink, Tracer
 from repro.workload.trace import generate_trace
@@ -84,8 +84,10 @@ def one_row_runs(config, layout, schedule):
     for engine, traced in ONE_ROW_RUNS:
         mapping = config.build_mapping(layout)
         sink = MemorySink()
-        outcome = get_plan_engine(engine).run_plan(
-            RunPlan(config=config, engine=engine, collect_responses=True),
+        spec = (REFERENCE_ENGINE if engine == REFERENCE_ENGINE.name
+                else get_engine(engine))
+        outcome = spec.run_plan(
+            RunPlan(config=config, collect_responses=True),
             config=config,
             schedule=schedule,
             mapping=mapping,
